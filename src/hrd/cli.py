@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
-validation error, 3 infeasible argument (a cap exceeded without --force).
+validation error, 3 infeasible argument (a cap exceeded without --force, or
+an input that nests too deeply).
 """
 
 from __future__ import annotations
@@ -89,13 +90,13 @@ def _cmd_count(args) -> int:
     elif args.oracle:
         print(counting.oracle_count(args.k, args.n, force=args.force))
     else:
-        table = counting.ensure_table(args.k, args.n, use_memo=not args.no_memo, force=args.force)
+        table = counting.ensure_table(args.k, args.n, use_memo=not args.no_memo)
         print(table.t[args.n])
     return 0
 
 
 def _cmd_sequence(args) -> int:
-    table = counting.ensure_table(args.k, args.max, use_memo=not args.no_memo, force=args.force)
+    table = counting.ensure_table(args.k, args.max, use_memo=not args.no_memo)
     counts = table.counts()[: args.max]
     if args.csv:
         for n, c in enumerate(counts, 1):
@@ -178,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--literal", action="store_true", help="order-5 recurrence, direct summation")
-    group.add_argument("--fast", action="store_true", help="convolution table (default)")
     group.add_argument("--oracle", action="store_true", help="exhaustive scan (n <= 9 without --force)")
     sp.add_argument("--no-memo", action="store_true", help="do not read or write the persistent table")
-    sp.add_argument("--force", action="store_true", help="override exhaustive-scan caps")
+    sp.add_argument("--force", action="store_true", help="override the --oracle scan cap")
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("sequence", help="counts for n = 1..max")
@@ -189,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--csv", action="store_true", help="emit 'n,count' rows")
     sp.add_argument("--no-memo", action="store_true")
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_sequence)
 
     sp = sub.add_parser("census", help="simple Baxter permutations of one length")
@@ -232,6 +231,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except counting.CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except RecursionError as e:
+        print(f"error: input nests too deeply ({e})", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

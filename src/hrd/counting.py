@@ -13,8 +13,14 @@ parts.  The skew rule makes the restricted child of a 12-root anything but a
 
     a_m = t_{m-1} + sum_{i=2}^{m-1} t_{m-i} * (t_i - a_i)
 
-and b_m satisfies the mirror recurrence, giving a_m = b_m throughout (the
-builder asserts it).  Everything here is exact integer arithmetic.
+and b_m satisfies the mirror recurrence, so a_m = b_m and t_m = 2 a_m + ...
+Everything here is exact integer arithmetic.
+
+The s_l come from the Baxter numbers, not from a scan of S_l: with no order
+bound every Baxter permutation is an HRD, so the Baxter series B satisfies
+B = x + 2B^2/(1+B) + S(B) with S(u) = sum s_l u^l, and reverting B gives S
+(``skeleton_counts``).  The exhaustive ``census_simple_baxter`` lists the
+skeletons themselves and serves the tests as an independent check.
 
 Three independent evaluation routes are kept deliberately: the order-5
 recurrence spelled out with literal nested composition loops
@@ -28,9 +34,13 @@ from __future__ import annotations
 
 import itertools
 import os
+import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from pathlib import Path
+from types import MappingProxyType
 
 from .gentree import hierarchy_order
 from .perm import Permutation, _is_baxter_seq, simple_baxter_perms
@@ -39,7 +49,7 @@ DEFAULT_CENSUS_CAP = 10
 DEFAULT_ORACLE_CAP = 9
 
 _MEMO_ENV = "HRD_MEMO_DIR"
-_TABLE_VERSION = "hrd-count-table v1"
+_TABLE_VERSION = "hrd-count-table v2"
 
 
 class CapExceeded(RuntimeError):
@@ -71,14 +81,33 @@ def census_simple_baxter(
     return Census(length, len(perms), perms if with_list else None)
 
 
-def _skeleton_counts(k: int, *, cap: int, force: bool) -> dict[int, int]:
-    """s_l for 4 <= l <= k, zero entries dropped."""
+def _baxter_number(n: int) -> int:
+    """B_n, the number of Baxter permutations of length n (Chung, Graham,
+    Hoggatt and Kleiman, 1978)."""
+    terms = sum(comb(n + 1, j - 1) * comb(n + 1, j) * comb(n + 1, j + 1) for j in range(1, n + 1))
+    return terms // (comb(n + 1, 1) * comb(n + 1, 2))
+
+
+@lru_cache(maxsize=None)
+def skeleton_counts(k: int) -> Mapping[int, int]:
+    """s_l for 4 <= l <= k, zero entries dropped, as a read-only mapping.
+
+    G = B^<-1> satisfies G(u) = u - 2u^2/(1+u) - S(u), so s_l = -g_l - 2(-1)^l.
+    Lagrange inversion gives g_n = [z^(n-1)] phi^n / n with phi = z / B(z);
+    phi has integer coefficients because B(z)/z starts with 1.  O(k^3).
+    """
+    q = [_baxter_number(n + 1) for n in range(k)]  # B(z)/z
+    phi = [1] + [0] * (k - 1)
+    for n in range(1, k):
+        phi[n] = -sum(q[i] * phi[n - i] for i in range(1, n + 1))
+    power = [1] + [0] * (k - 1)
     out: dict[int, int] = {}
-    for length in range(4, k + 1):
-        s = census_simple_baxter(length, cap=cap, force=force).count
-        if s:
-            out[length] = s
-    return out
+    for n in range(1, k + 1):
+        power = [sum(power[i] * phi[m - i] for i in range(m + 1)) for m in range(k)]
+        s = -(power[n - 1] // n) - 2 * (-1) ** n
+        if n >= 4 and s:
+            out[n] = s
+    return MappingProxyType(out)
 
 
 def count_hrd_literal(n: int) -> int:
@@ -126,14 +155,14 @@ def _composition_sum(t: list[int], m: int, parts: int) -> int:
     return total
 
 
-def count_hrd(k: int, n: int, *, census_cap: int = DEFAULT_CENSUS_CAP, force: bool = False) -> int:
+def count_hrd(k: int, n: int) -> int:
     """t_n for any order k, by the generalized recurrence with direct
     composition sums."""
     if k < 2:
         raise ValueError("order k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = _skeleton_counts(k, cap=census_cap, force=force)
+    s = skeleton_counts(min(k, n))
     t = [0] * (n + 1)
     a = [0] * (n + 1)
     t[1] = 1
@@ -151,17 +180,10 @@ def count_hrd(k: int, n: int, *, census_cap: int = DEFAULT_CENSUS_CAP, force: bo
 
 @dataclass
 class CountTable:
-    """Arbitrary-precision count arrays for one order k.
-
-    Index m runs 1..n_max; slot 0 is unused.  ``comp[l]`` holds the
-    composition sums C_l[m].
-    """
+    """The counts t_1..t_{n_max} for one order k; slot 0 of ``t`` is unused."""
 
     k: int
     t: list[int]
-    a: list[int]
-    b: list[int]
-    comp: dict[int, list[int]]
 
     @property
     def n_max(self) -> int:
@@ -171,74 +193,37 @@ class CountTable:
         return self.t[1:]
 
 
-def count_hrd_fast(
-    k: int,
-    n_max: int,
-    *,
-    base: CountTable | None = None,
-    census_cap: int = DEFAULT_CENSUS_CAP,
-    force: bool = False,
-) -> CountTable:
+def count_hrd_fast(k: int, n_max: int) -> CountTable:
     """The same t values as ``count_hrd`` in O(k * n_max^2) arithmetic ops.
 
     C_l is grown incrementally as the convolution of C_{l-1} with t; every
     term it needs is available because an l-part composition of m only uses
-    t-values at indices <= m - l + 1.  Passing ``base`` extends an existing
-    table for the same k.
+    t-values at indices <= m - l + 1.  Skeletons longer than n_max cannot
+    occur, so the order only matters up to n_max.
     """
     if k < 2:
         raise ValueError("order k must be >= 2")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    s = _skeleton_counts(k, cap=census_cap, force=force)
-    lengths = sorted(s)
-    max_l = lengths[-1] if lengths else 0
+    s = skeleton_counts(min(k, n_max))
+    max_l = max(s, default=0)
 
     t = [0, 1]
     a = [0, 0]
-    b = [0, 0]
     comp: dict[int, list[int]] = {l: [0, 0] for l in range(2, max_l + 1)}
-    start = 2
-    if base is not None:
-        if base.k != k:
-            raise ValueError(f"cannot extend an order-{base.k} table to order {k}")
-        t = list(base.t)
-        a = list(base.a)
-        b = list(base.b)
-        comp = {l: list(base.comp.get(l, [])) for l in range(2, max_l + 1)}
-        for l in range(2, max_l + 1):
-            if len(comp[l]) != len(t):
-                # rebuild convolutions missing from a loaded table
-                comp[l] = [0] * len(t)
-                for m in range(2, len(t)):
-                    prev = t if l == 2 else comp[l - 1]
-                    comp[l][m] = sum(prev[m - i] * t[i] for i in range(1, m))
-        start = len(t)
-
-    for m in range(start, n_max + 1):
+    for m in range(2, n_max + 1):
         for l in range(2, max_l + 1):
             prev = t if l == 2 else comp[l - 1]
             comp[l].append(sum(prev[m - i] * t[i] for i in range(1, m)))
         am = t[m - 1] + sum(t[m - i] * (t[i] - a[i]) for i in range(2, m))
-        bm = t[m - 1] + sum(t[m - i] * (t[i] - b[i]) for i in range(2, m))
-        if am != bm:
-            raise AssertionError(f"12/21 symmetry broke at m={m}: {am} != {bm}")
         a.append(am)
-        b.append(bm)
-        skel = sum(s[l] * comp[l][m] for l in lengths)
-        t.append(am + bm + skel)
-
-    if len(t) > n_max + 1:
-        t = t[: n_max + 1]
-        a = a[: n_max + 1]
-        b = b[: n_max + 1]
-        comp = {l: arr[: n_max + 1] for l, arr in comp.items()}
-    return CountTable(k, t, a, b, comp)
+        t.append(2 * am + sum(mult * comp[l][m] for l, mult in s.items()))
+    return CountTable(k, t)
 
 
-def sequence(k: int, n_max: int, **kwargs) -> list[int]:
+def sequence(k: int, n_max: int) -> list[int]:
     """[t_1, ..., t_{n_max}] for order k."""
-    return count_hrd_fast(k, n_max, **kwargs).counts()
+    return count_hrd_fast(k, n_max).counts()
 
 
 @lru_cache(maxsize=None)
@@ -280,64 +265,52 @@ def _table_path(k: int, directory: Path | None = None) -> Path:
 
 
 def save_table(table: CountTable, directory: Path | None = None) -> Path:
+    """Write ``m t_m`` lines under a header naming k and the CRC-32 of the body."""
     path = _table_path(table.k, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {_TABLE_VERSION} k={table.k}"]
-    for m in range(1, table.n_max + 1):
-        lines.append(f"{m} {table.t[m]} {table.a[m]}")
-    path.write_text("\n".join(lines) + "\n")
+    body = "".join(f"{m} {table.t[m]}\n" for m in range(1, table.n_max + 1))
+    path.write_text(_table_header(table.k, body) + body)
     return path
 
 
-def load_table(k: int, directory: Path | None = None) -> CountTable | None:
-    """Load a persisted table; silently discard anything inconsistent.
+def _table_header(k: int, body: str) -> str:
+    return f"# {_TABLE_VERSION} k={k} crc32={zlib.crc32(body.encode()):08x}\n"
 
-    The stored a-column is revalidated against the 21-rooted recurrence
-    (a_m = b_m must hold); a mismatch means the file is stale or corrupt and
-    the caller should recompute.
+
+def load_table(k: int, directory: Path | None = None) -> CountTable | None:
+    """Load a persisted table; return None for a missing, stale or corrupt
+    file, which the caller then recomputes.
+
+    The header must name this k and the CRC-32 of the body, so any edit to
+    the file after ``save_table`` is caught in time linear in its size.
     """
     path = _table_path(k, directory)
-    if not path.exists():
-        return None
     try:
-        lines = path.read_text().splitlines()
-        if not lines or lines[0].strip() != f"# {_TABLE_VERSION} k={k}":
+        header, _, body = path.read_text().partition("\n")
+        if header + "\n" != _table_header(k, body):
             return None
         t = [0]
-        a = [0]
-        for m, line in enumerate(lines[1:], 1):
-            mm, tm, am = (int(tok) for tok in line.split())
+        for m, line in enumerate(body.splitlines(), 1):
+            mm, tm = (int(tok) for tok in line.split())
             if mm != m:
                 return None
             t.append(tm)
-            a.append(am)
     except (ValueError, OSError):
         return None
-    if len(t) < 2 or t[1] != 1 or a[1] != 0:
+    if len(t) < 2 or t[1] != 1:
         return None
-    b = [0, 0]
-    for m in range(2, len(t)):
-        bm = t[m - 1] + sum(t[m - i] * (t[i] - b[i]) for i in range(2, m))
-        if bm != a[m]:
-            return None
-        b.append(bm)
-    return CountTable(k, t, a, b, {})
+    return CountTable(k, t)
 
 
-def ensure_table(
-    k: int,
-    n: int,
-    *,
-    use_memo: bool = True,
-    directory: Path | None = None,
-    census_cap: int = DEFAULT_CENSUS_CAP,
-    force: bool = False,
-) -> CountTable:
-    """Table covering 1..n for order k, going through the persistent memo."""
-    base = load_table(k, directory) if use_memo else None
-    if base is not None and base.n_max >= n:
-        return base
-    table = count_hrd_fast(k, n, base=base, census_cap=census_cap, force=force)
+def ensure_table(k: int, n: int, *, use_memo: bool = True, directory: Path | None = None) -> CountTable:
+    """Table covering 1..n for order k, going through the persistent memo:
+    a stored table that covers n is returned, anything else is recomputed
+    and stored."""
+    if use_memo:
+        table = load_table(k, directory)
+        if table is not None and table.n_max >= n:
+            return table
+    table = count_hrd_fast(k, n)
     if use_memo:
         save_table(table, directory)
     return table

@@ -1,6 +1,7 @@
 import pytest
 
 from hrd.cli import main, run
+from hrd.counting import load_table, memo_dir
 from hrd.perm import Permutation
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
 from hrd.gentree import is_ihrd
@@ -52,6 +53,13 @@ class TestCheck:
         code, out, _ = invoke(capsys, "check", "baxter", "--file", str(path))
         assert code == 0 and out == "true\n"
 
+    def test_deep_nesting_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_text(" ".join(map(str, range(1, 1501))))
+        code, out, err = invoke(capsys, "check", "hrd", "--k", "2", "--file", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestCount:
     def test_order_five_base_case(self, capsys):
@@ -60,7 +68,7 @@ class TestCount:
 
     def test_engines_agree(self, capsys):
         results = set()
-        for engine in ([], ["--literal"], ["--oracle"], ["--fast"]):
+        for engine in ([], ["--literal"], ["--oracle"]):
             code, out, _ = invoke(capsys, "count", "--k", "5", "--n", "7", *engine)
             assert code == 0
             results.add(out)
@@ -79,6 +87,21 @@ class TestCount:
         b = invoke(capsys, "count", "--k", "5", "--n", "20", "--no-memo")
         c = invoke(capsys, "count", "--k", "5", "--n", "20")
         assert a == b == c
+
+    def test_tampered_memo_is_recomputed(self, capsys):
+        invoke(capsys, "count", "--k", "5", "--n", "30")
+        path = memo_dir() / "count-table-k5.txt"
+        lines = path.read_text().splitlines()
+        m, t = lines[-1].split()
+        lines[-1] = f"{m} {int(t) + 1}"
+        path.write_text("\n".join(lines) + "\n")
+        assert load_table(5) is None
+        fresh = invoke(capsys, "count", "--k", "5", "--n", "30", "--no-memo")
+        assert invoke(capsys, "count", "--k", "5", "--n", "30") == fresh
+
+    def test_order_beyond_census_cap(self, capsys):
+        code, out, _ = invoke(capsys, "count", "--k", "11", "--n", "20", "--no-memo")
+        assert code == 0 and out == "24535415330662\n"
 
 
 class TestSequence:

@@ -13,11 +13,13 @@ from hrd.counting import (
     oracle_count,
     save_table,
     sequence,
+    skeleton_counts,
 )
 
 SCHROEDER = [1, 2, 6, 22, 90, 394, 1806]
 ORDER5 = [1, 2, 6, 22, 92, 422, 2062, 10514]
 BAXTER = [1, 2, 6, 22, 92, 422, 2074, 10754]
+BAXTER_12 = BAXTER + [58202, 326240, 1882960, 11140560]  # OEIS A001181
 
 
 class TestCensus:
@@ -46,6 +48,19 @@ class TestCensus:
         with pytest.raises(ValueError):
             census_simple_baxter(1)
         assert census_simple_baxter(4, cap=3, force=True).count == 0
+
+
+class TestSkeletonCounts:
+    def test_matches_exhaustive_census(self):
+        s = skeleton_counts(9)
+        for length in range(4, 10):
+            assert s.get(length, 0) == census_simple_baxter(length).count, length
+        assert 0 not in s.values()
+        assert skeleton_counts(2) == skeleton_counts(4) == {}
+
+    def test_beyond_the_census_cap(self):
+        s = skeleton_counts(16)
+        assert [s[l] for l in range(10, 17)] == [418, 1722, 7046, 29774, 127756, 557812, 2469148]
 
 
 class TestLiteral:
@@ -95,18 +110,12 @@ class TestFast:
             for n in (1, 2, 5, 9, 14, 20, 25):
                 assert table.t[n] == count_hrd(k, n), (k, n)
 
-    def test_symmetry_columns_equal(self):
-        table = count_hrd_fast(5, 40)
-        assert table.a == table.b
-
-    def test_extension_matches_fresh(self):
-        base = count_hrd_fast(5, 10)
-        extended = count_hrd_fast(5, 30, base=base)
-        assert extended.t == count_hrd_fast(5, 30).t
-
     def test_sequence_values(self):
         assert sequence(2, 5) == [1, 2, 6, 22, 90]
         assert sequence(5, 5) == [1, 2, 6, 22, 92]
+
+    def test_unbounded_order_gives_baxter_numbers(self):
+        assert sequence(12, 12) == BAXTER_12
 
     def test_sequence_gap_grows_with_skeleton_multiplicity(self):
         # each of the s_{k+1} seeds contributes a disjoint 3^(n-k-1) family
@@ -144,21 +153,21 @@ class TestMemo:
         save_table(table, tmp_path)
         loaded = load_table(5, tmp_path)
         assert loaded is not None
-        assert loaded.t == table.t and loaded.a == table.a
+        assert loaded.t == table.t
 
     def test_missing_table(self, tmp_path):
         assert load_table(3, tmp_path) is None
 
     def test_corrupt_table_discarded(self, tmp_path):
         path = save_table(count_hrd_fast(5, 8), tmp_path)
-        path.write_text(path.read_text().replace(" 92 ", " 93 "))
+        path.write_text(path.read_text().replace(" 92\n", " 93\n"))
         assert load_table(5, tmp_path) is None
 
-    def test_tampered_a_column_discarded(self, tmp_path):
+    def test_tampered_final_count_discarded(self, tmp_path):
         path = save_table(count_hrd_fast(5, 8), tmp_path)
         lines = path.read_text().splitlines()
-        m, t, a = lines[-1].split()
-        lines[-1] = f"{m} {t} {int(a) + 1}"
+        m, t = lines[-1].split()
+        lines[-1] = f"{m} {int(t) + 1}"
         path.write_text("\n".join(lines) + "\n")
         assert load_table(5, tmp_path) is None
 
