@@ -155,13 +155,17 @@ def _composition_sum(t: list[int], m: int, parts: int) -> int:
     return total
 
 
-def count_hrd(k: int, n: int) -> int:
-    """t_n for any order k, by the generalized recurrence with direct
-    composition sums."""
+def _check_order_and_size(k: int, n: int) -> None:
     if k < 2:
         raise ValueError("order k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+
+
+def count_hrd(k: int, n: int) -> int:
+    """t_n for any order k, by the generalized recurrence with direct
+    composition sums."""
+    _check_order_and_size(k, n)
     s = skeleton_counts(min(k, n))
     t = [0] * (n + 1)
     a = [0] * (n + 1)
@@ -201,10 +205,7 @@ def count_hrd_fast(k: int, n_max: int) -> CountTable:
     t-values at indices <= m - l + 1.  Skeletons longer than n_max cannot
     occur, so the order only matters up to n_max.
     """
-    if k < 2:
-        raise ValueError("order k must be >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_order_and_size(k, n_max)
     s = skeleton_counts(min(k, n_max))
     max_l = max(s, default=0)
 
@@ -244,10 +245,7 @@ def oracle_count(k: int, n: int, *, cap: int = DEFAULT_ORACLE_CAP, force: bool =
     Uses only the permutation and tree predicates; shares nothing with the
     recurrence evaluations above.
     """
-    if k < 2:
-        raise ValueError("order k must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order_and_size(k, n)
     if n > cap and not force:
         raise CapExceeded(f"oracle scan of S_{n} exceeds the cap {cap}; pass force to override")
     return sum(count for order, count in _order_histogram(n) if order <= k)
@@ -306,6 +304,7 @@ def ensure_table(k: int, n: int, *, use_memo: bool = True, directory: Path | Non
     """Table covering 1..n for order k, going through the persistent memo:
     a stored table that covers n is returned, anything else is recomputed
     and stored."""
+    _check_order_and_size(k, n)
     if use_memo:
         table = load_table(k, directory)
         if table is not None and table.n_max >= n:

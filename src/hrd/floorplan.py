@@ -1,11 +1,12 @@
 """Mosaic floorplans: integer-grid tilings of a bounding rectangle whose
 interior junctions are all T-shaped.
 
-The origin sits at the top-left corner and y grows downward.  Coordinates
-are canonicalized to ranks of the distinct wall positions before anything is
-compared, so only the wall topology of a floorplan matters.  Two floorplans
-are equivalent exactly when their deletion-order label permutations agree,
-which is how ``equivalent`` decides.
+The origin sits at the top-left corner and y grows downward.  Only the wall
+topology of a floorplan matters: corner deletions run on the coordinates
+they are given, and ``canonical``, ``reflect``, ``bp2fp`` and
+``delete_corner`` return coordinates ranked to the distinct wall positions.
+Two floorplans are equivalent exactly when their deletion-order label
+permutations agree, which is how ``equivalent`` decides.
 
 Corner deletion slides one edge of the corner room until it hits the
 bounding rectangle, dragging the attached T-junctions along.  Labeling rooms
@@ -174,24 +175,21 @@ def reflect(f: MosaicFloorplan, *, flip_x: bool = False, flip_y: bool = False) -
 
 
 def _delete_top_left(g: MosaicFloorplan) -> tuple[MosaicFloorplan, int]:
-    """Delete the top-left room of a canonical, valid floorplan.
+    """Delete the top-left room of a valid floorplan.
 
-    At the room's bottom-right corner exactly one of its walls continues
-    past the corner.  When the vertical wall continues downward the bottom
-    edge slides up (the rooms underneath grow to the top boundary);
-    otherwise the right edge slides left.
+    Works on the coordinates it is given; it only needs the top-left corner
+    at the origin, which every valid floorplan has.  At the room's
+    bottom-right corner exactly one of its walls continues past the corner.
+    When the vertical wall continues downward (the room holding the cell
+    just below-right of the corner starts there) the bottom edge slides up
+    and the rooms underneath grow to the top boundary; otherwise the right
+    edge slides left.  The bounding rectangle never changes.
     """
     b = next(r for r in g.rooms if r.x1 == 0 and r.y1 == 0)
     if g.n == 1:
         raise ValueError("cannot delete from a single-room floorplan")
-    if b.x2 == g.width:
-        vertical = True
-    elif b.y2 == g.height:
-        vertical = False
-    else:
-        grid = _grid(g)
-        vertical = grid[b.y2][b.x2 - 1] != grid[b.y2][b.x2]
-    entries = []
+    vertical = b.x2 == g.width or any(r.x1 == b.x2 and r.y1 <= b.y2 < r.y2 for r in g.rooms)
+    rooms = []
     for r in g.rooms:
         if r.id == b.id:
             continue
@@ -199,37 +197,26 @@ def _delete_top_left(g: MosaicFloorplan) -> tuple[MosaicFloorplan, int]:
             r = replace(r, y1=0)
         elif not vertical and r.x1 == b.x2 and r.y2 <= b.y2:
             r = replace(r, x1=0)
-        entries.append((r.id, r.x1, r.y1, r.x2, r.y2))
-    return _canonical_from_entries(entries), b.id
-
-
-def _delete_corner_traced(f: MosaicFloorplan, corner: Corner) -> tuple[MosaicFloorplan, int]:
-    g = canonical(f)
-    if g.n <= 1:
-        raise ValueError("cannot delete from a single-room floorplan")
-    fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
-    fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
-    if fx or fy:
-        g = reflect(g, flip_x=fx, flip_y=fy)
-    out, rid = _delete_top_left(g)
-    if fx or fy:
-        out = reflect(out, flip_x=fx, flip_y=fy)
-    return out, rid
+        rooms.append(r)
+    return MosaicFloorplan(g.width, g.height, tuple(rooms)), b.id
 
 
 def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
-    """Remove the block sitting at ``corner``; the result has n-1 rooms."""
+    """Remove the block sitting at ``corner``; the result has n-1 rooms and
+    rank-canonical coordinates."""
     _require_valid(f)
-    out, _ = _delete_corner_traced(f, corner)
-    return out
+    fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
+    fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
+    out, _ = _delete_top_left(reflect(f, flip_x=fx, flip_y=fy))
+    return reflect(out, flip_x=fx, flip_y=fy)
 
 
 def _deletion_labels(g: MosaicFloorplan) -> dict[int, int]:
-    """room id -> top-left deletion label (1..n)."""
+    """room id -> top-left deletion label (1..n) of a valid floorplan."""
     labels: dict[int, int] = {}
     cur = g
     for step in range(1, g.n):
-        cur, rid = _delete_corner_traced(cur, Corner.TOP_LEFT)
+        cur, rid = _delete_top_left(cur)
         labels[rid] = step
     labels[cur.rooms[0].id] = g.n
     return labels
@@ -237,17 +224,12 @@ def _deletion_labels(g: MosaicFloorplan) -> dict[int, int]:
 
 def fp2bp(f: MosaicFloorplan) -> Permutation:
     """Label rooms in top-left deletion order, then read the labels in
-    bottom-left deletion order.  The result is a Baxter permutation."""
+    bottom-left deletion order, which is the top-left deletion order of the
+    vertical mirror.  The result is a Baxter permutation."""
     _require_valid(f)
-    g = canonical(f)
-    labels = _deletion_labels(g)
-    reading: list[int] = []
-    cur = g
-    for _ in range(g.n - 1):
-        cur, rid = _delete_corner_traced(cur, Corner.BOTTOM_LEFT)
-        reading.append(labels[rid])
-    reading.append(labels[cur.rooms[0].id])
-    return Permutation(tuple(reading))
+    labels = _deletion_labels(f)
+    reading = _deletion_labels(reflect(f, flip_y=True))
+    return Permutation(tuple(labels[rid] for rid in sorted(labels, key=reading.__getitem__)))
 
 
 def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> MosaicFloorplan:
@@ -422,8 +404,6 @@ def equivalent(f1: MosaicFloorplan, f2: MosaicFloorplan) -> bool:
     The deletion-order bijection separates exactly the distinct floorplans,
     so comparing ``fp2bp`` images avoids an isomorphism search.
     """
-    _require_valid(f1)
-    _require_valid(f2)
     return fp2bp(f1) == fp2bp(f2)
 
 

@@ -99,6 +99,15 @@ class TestCount:
         fresh = invoke(capsys, "count", "--k", "5", "--n", "30", "--no-memo")
         assert invoke(capsys, "count", "--k", "5", "--n", "30") == fresh
 
+    def test_warm_memo_does_not_answer_invalid_sizes(self, capsys):
+        invoke(capsys, "count", "--k", "5", "--n", "30")
+        for argv in (("count", "--k", "5", "--n", "-3"),
+                     ("count", "--k", "5", "--n", "0"),
+                     ("sequence", "--k", "5", "--max", "-2")):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ")
+
     def test_order_beyond_census_cap(self, capsys):
         code, out, _ = invoke(capsys, "count", "--k", "11", "--n", "20", "--no-memo")
         assert code == 0 and out == "24535415330662\n"

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hrd.perm import Permutation, blocks, is_baxter
+from hrd.perm import Permutation, blocks, inflate, is_baxter
 from hrd.floorplan import (
     Corner,
     FloorplanFormatError,
     MosaicFloorplan,
     Room,
+    _deletion_labels,
     bp2fp,
     canonical,
     delete_corner,
@@ -29,6 +32,19 @@ BAXTER = [1, 2, 6, 22, 92, 422]
 
 SIDE_BY_SIDE = MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1), Room(2, 1, 0, 2, 1)))
 STACKED = MosaicFloorplan(1, 2, (Room(1, 0, 0, 1, 1), Room(2, 0, 1, 1, 2)))
+
+ORDER_FIVE_SKELETONS = (P("12"), P("21"), P("41352"), P("25314"))
+
+
+def random_baxter(rng: random.Random, n: int) -> Permutation:
+    """A Baxter permutation of length n: a random order-5 skeleton inflated
+    by random Baxter permutations of random sizes."""
+    if n == 1:
+        return P("1")
+    skeleton = rng.choice([s for s in ORDER_FIVE_SKELETONS if len(s) <= n])
+    cuts = sorted(rng.sample(range(1, n), len(skeleton) - 1))
+    sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
+    return inflate(skeleton, [random_baxter(rng, m) for m in sizes])
 
 
 class TestValidate:
@@ -78,6 +94,7 @@ class TestDeleteCorner:
             for f in enumerate_floorplans(n):
                 out = delete_corner(f, corner)
                 assert validate(out) and out.n == n - 1
+                assert out == canonical(out)
 
 
 class TestFp2bp:
@@ -134,6 +151,25 @@ class TestBp2fp:
         assert fp2bp(f) == p
 
 
+class TestLargeInputs:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bp2fp_room_ids_are_deletion_labels(self, seed):
+        f = bp2fp(random_baxter(random.Random(seed), 300))
+        assert all(rid == label for rid, label in _deletion_labels(f).items())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fp2bp_ignores_spacing_ids_and_room_order(self, seed):
+        rng = random.Random(seed)
+        p = random_baxter(rng, 300)
+        f = bp2fp(p)
+        xs = [0, *sorted(rng.sample(range(1, 20 * f.width), f.width))]
+        ys = [0, *sorted(rng.sample(range(1, 20 * f.height), f.height))]
+        ids = rng.sample(range(1, 10 * f.n), f.n)
+        rooms = [Room(i, xs[r.x1], ys[r.y1], xs[r.x2], ys[r.y2]) for i, r in zip(ids, f.rooms)]
+        rng.shuffle(rooms)
+        assert fp2bp(MosaicFloorplan(xs[-1], ys[-1], tuple(rooms))) == p
+
+
 class TestEnumeration:
     def test_counts_match_baxter_numbers(self):
         for n, expect in enumerate(BAXTER, 1):
@@ -188,6 +224,13 @@ class TestEquivalent:
             Room(3, 0, 1, 1, 2), Room(4, 1, 1, 3, 2)))
         assert canonical(a) != canonical(b)
         assert equivalent(a, b)
+
+    def test_invalid_floorplan_rejected(self):
+        gap = MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1),))
+        with pytest.raises(ValueError):
+            equivalent(STACKED, gap)
+        with pytest.raises(ValueError):
+            equivalent(gap, STACKED)
 
 
 class TestEnvelopingRectangles:
