@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
-validation error, 3 infeasible argument (a cap exceeded without --force, or
-an input that nests too deeply).
+validation error, 3 infeasible argument (a ``census`` or ``lowerbound``
+scan cap exceeded without --force, or an input that nests too deeply).
 """
 
 from __future__ import annotations
@@ -83,15 +83,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.literal:
-        if args.k != 5:
-            raise ValueError("--literal evaluates the order-5 recurrence; use --k 5")
-        print(counting.count_hrd_literal(args.n))
-    elif args.oracle:
-        print(counting.oracle_count(args.k, args.n, force=args.force))
-    else:
-        table = counting.ensure_table(args.k, args.n, use_memo=not args.no_memo)
-        print(table.t[args.n])
+    table = counting.ensure_table(args.k, args.n, use_memo=not args.no_memo)
+    print(table.t[args.n])
     return 0
 
 
@@ -177,11 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("count", help="number of order-k dissections with n rooms")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--literal", action="store_true", help="order-5 recurrence, direct summation")
-    group.add_argument("--oracle", action="store_true", help="exhaustive scan (n <= 9 without --force)")
     sp.add_argument("--no-memo", action="store_true", help="do not read or write the persistent table")
-    sp.add_argument("--force", action="store_true", help="override the --oracle scan cap")
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("sequence", help="counts for n = 1..max")

@@ -1,33 +1,41 @@
 """Exact counting of order-k hierarchical dissections.
 
 Let t_m be the number of skewed generating trees of order k with m leaves
-(equivalently, dissections with m rooms).  Splitting on the root label:
+(equivalently, dissections with m rooms), T = sum t_m x^m, and
+S(u) = sum s_l u^l, where s_l is the number of simple Baxter permutations of
+length l (4 <= l <= k), the possible root labels besides 12 and 21.  A root
+labeled 12 has any tree as its second child and anything but a 12-root as
+its first, so its trees have the series (T - A) T with A = T^2/(1+T); 21 is
+the mirror case.  Hence
 
-    t_m = a_m + b_m + sum over skeleton lengths l of s_l * C_l[m]
+    T = x + 2 T^2 / (1 + T) + S(T).
 
-where a_m / b_m count the trees rooted 12 / 21, s_l is the number of simple
-Baxter permutations of length l (4 <= l <= k), and C_l[m] sums the products
-t_{n_1} * ... * t_{n_l} over ordered compositions of m into l positive
-parts.  The skew rule makes the restricted child of a 12-root anything but a
-12-root, so
+Multiplied by 1 + T this is the paper's form, free of division:
 
-    a_m = t_{m-1} + sum_{i=2}^{m-1} t_{m-i} * (t_i - a_i)
+    T = x + x T + T^2 + (1 + T) S(T),
 
-and b_m satisfies the mirror recurrence, so a_m = b_m and t_m = 2 a_m + ...
-Everything here is exact integer arithmetic.
+which for order 5 (S = 2 u^5) is t_n = t_{n-1} + sum t_i t_{n-i}
++ 2 * (5-part sums) + 2 * (6-part sums).  With P_j = T^j and L the longest
+skeleton length, every t_m with m >= 2 is read off the powers P_2..P_{L+1}:
+
+    t_m = t_{m-1} + P_2[m] + sum over l of s_l * (P_l[m] + P_{l+1}[m]).
+
+P_j[m] sums the t-products over ordered compositions of m into j positive
+parts, so it needs only t_1..t_{m-j+1}.  Everything here is exact integer
+arithmetic.
 
 The s_l come from the Baxter numbers, not from a scan of S_l: with no order
 bound every Baxter permutation is an HRD, so the Baxter series B satisfies
-B = x + 2B^2/(1+B) + S(B) with S(u) = sum s_l u^l, and reverting B gives S
+the same equation, B = x + 2B^2/(1+B) + S(B), and reverting B gives S
 (``skeleton_counts``).  The exhaustive ``census_simple_baxter`` lists the
 skeletons themselves and serves the tests as an independent check.
 
-Three independent evaluation routes are kept deliberately: the order-5
-recurrence spelled out with literal nested composition loops
-(``count_hrd_literal``), the general recurrence with direct composition
-sums (``count_hrd``), and an O(k n^2) incremental-convolution table
-(``count_hrd_fast``).  ``oracle_count`` checks them all against exhaustive
-enumeration at small n.
+``count_hrd_fast`` is the production route: it grows each power column by
+one incremental convolution per term, O(k n^2) in all.  Three reference
+routes are kept for the cross-checks: the order-5 recurrence spelled out
+with literal nested composition loops (``count_hrd_literal``), the same
+equation for any k with direct composition sums (``count_hrd``), and an
+exhaustive scan of S_n (``oracle_count``).
 """
 
 from __future__ import annotations
@@ -163,22 +171,17 @@ def _check_order_and_size(k: int, n: int) -> None:
 
 
 def count_hrd(k: int, n: int) -> int:
-    """t_n for any order k, by the generalized recurrence with direct
+    """t_n for any order k, by the paper's recurrence with direct
     composition sums."""
     _check_order_and_size(k, n)
     s = skeleton_counts(min(k, n))
     t = [0] * (n + 1)
-    a = [0] * (n + 1)
     t[1] = 1
     for m in range(2, n + 1):
-        am = t[m - 1]
-        for i in range(2, m):
-            am += t[m - i] * (t[i] - a[i])
-        a[m] = am
         skel = 0
         for length, mult in s.items():
-            skel += mult * _composition_sum(t, m, length)
-        t[m] = 2 * am + skel
+            skel += mult * (_composition_sum(t, m, length) + _composition_sum(t, m, length + 1))
+        t[m] = t[m - 1] + _composition_sum(t, m, 2) + skel
     return t[n]
 
 
@@ -200,25 +203,23 @@ class CountTable:
 def count_hrd_fast(k: int, n_max: int) -> CountTable:
     """The same t values as ``count_hrd`` in O(k * n_max^2) arithmetic ops.
 
-    C_l is grown incrementally as the convolution of C_{l-1} with t; every
-    term it needs is available because an l-part composition of m only uses
-    t-values at indices <= m - l + 1.  Skeletons longer than n_max cannot
-    occur, so the order only matters up to n_max.
+    P_j = T^j is grown incrementally as the convolution of P_{j-1} with t;
+    every term it needs is available because a j-part composition of m only
+    uses t-values at indices <= m - j + 1.  Skeletons longer than n_max
+    cannot occur, so the order only matters up to n_max.
     """
     _check_order_and_size(k, n_max)
     s = skeleton_counts(min(k, n_max))
-    max_l = max(s, default=0)
+    top = max(s, default=1) + 1
 
     t = [0, 1]
-    a = [0, 0]
-    comp: dict[int, list[int]] = {l: [0, 0] for l in range(2, max_l + 1)}
+    powers: dict[int, list[int]] = {j: [0, 0] for j in range(2, top + 1)}
     for m in range(2, n_max + 1):
-        for l in range(2, max_l + 1):
-            prev = t if l == 2 else comp[l - 1]
-            comp[l].append(sum(prev[m - i] * t[i] for i in range(1, m)))
-        am = t[m - 1] + sum(t[m - i] * (t[i] - a[i]) for i in range(2, m))
-        a.append(am)
-        t.append(2 * am + sum(mult * comp[l][m] for l, mult in s.items()))
+        for j in range(2, top + 1):
+            prev = t if j == 2 else powers[j - 1]
+            powers[j].append(sum(prev[m - i] * t[i] for i in range(1, m)))
+        skel = sum(mult * (powers[l][m] + powers[l + 1][m]) for l, mult in s.items())
+        t.append(t[m - 1] + powers[2][m] + skel)
     return CountTable(k, t)
 
 

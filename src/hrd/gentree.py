@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterator, Union
 
 from .floorplan import MosaicFloorplan, _canonical_from_entries, bp2fp, single_room
-from .perm import Permutation, decompose, inflate, is_baxter, is_simple, simple_baxter_perms
+from .perm import Decomposition, Permutation, decompose, inflate, is_baxter, is_simple, simple_baxter_perms
 
 _P12 = Permutation.of(1, 2)
 _P21 = Permutation.of(2, 1)
@@ -82,22 +82,34 @@ def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
         raise ValueError("order k must be >= 2")
     if not is_baxter(p):
         raise ValueError("generating trees exist only for Baxter permutations")
-    return _build(p, k)
-
-
-def _build(p: Permutation, k: int) -> GenTree | None:
-    if len(p) == 1:
-        return Leaf()
-    d = decompose(p)
-    if len(d.skeleton) > k:
-        return None
-    kids = []
-    for child in d.children:
-        sub = _build(child, k)
-        if sub is None:
+    parts: list[Decomposition] = []
+    for d in _decompositions(p):
+        if len(d.skeleton) > k:
             return None
-        kids.append(sub)
-    return Node(d.skeleton, tuple(kids))
+        parts.append(d)
+    built: list[GenTree] = []
+    for d in reversed(parts):
+        # later siblings were built first, so the first child is on top
+        kids = tuple(Leaf() if len(c) == 1 else built.pop() for c in d.children)
+        built.append(Node(d.skeleton, kids))
+    return built[0] if built else Leaf()
+
+
+def _decompositions(p: Permutation) -> Iterator[Decomposition]:
+    """The decomposition of every non-singleton part of p's recursive
+    canonical decomposition, parents first and children left to right.
+
+    Iterative, so nesting depth is unbounded; lazy, so a caller that stops
+    early decomposes nothing further.
+    """
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if len(q) == 1:
+            continue
+        d = decompose(q)
+        yield d
+        stack.extend(reversed(d.children))
 
 
 def is_hrd(p: Permutation, k: int) -> bool:
@@ -106,7 +118,7 @@ def is_hrd(p: Permutation, k: int) -> bool:
         raise ValueError("order k must be >= 2")
     if not is_baxter(p):
         return False
-    return _build(p, k) is not None
+    return all(len(d.skeleton) <= k for d in _decompositions(p))
 
 
 def is_ihrd(p: Permutation) -> bool:
@@ -118,14 +130,7 @@ def hierarchy_order(p: Permutation) -> int:
     """Smallest k for which ``is_hrd(p, k)`` holds (1 for the singleton)."""
     if not is_baxter(p):
         raise ValueError("hierarchy order is defined for Baxter permutations")
-
-    def walk(q: Permutation) -> int:
-        if len(q) == 1:
-            return 1
-        d = decompose(q)
-        return max(len(d.skeleton), max(walk(c) for c in d.children))
-
-    return walk(p)
+    return max((len(d.skeleton) for d in _decompositions(p)), default=1)
 
 
 def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .floorplan import MosaicFloorplan, bp2fp, fp2bp
-from .gentree import is_hrd, is_ihrd
-from .perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple, simple_baxter_perms
+from .gentree import hierarchy_order, is_ihrd
+from .perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple
 
 
 def safe_sites(p: Permutation) -> list[int]:
@@ -119,11 +119,14 @@ def insertion_family(
         if q.values not in seen:
             seen.add(q.values)
             finals.append(q)
-        if not is_baxter(q):
-            all_baxter = False
-        if not is_hrd(q, k):
+        try:
+            order = hierarchy_order(q)  # checks Baxter first, then one walk
+        except ValueError:
+            all_baxter = all_hrd_k = False
+            continue
+        if order > k:
             all_hrd_k = False
-        if k > 2 and is_hrd(q, k - 1):
+        if k > 2 and order < k:
             none_below = False
     return FamilyReport(
         seed=seed,
@@ -159,18 +162,13 @@ def _one_point_extensions(vals: tuple[int, ...]) -> set[tuple[int, ...]]:
 def _grow_label(label: Permutation) -> Permutation:
     """A simple Baxter permutation two longer that contains ``label``.
 
-    Deterministic search over all two-element extensions, lexicographically;
-    falls back to the census list of the target length if (contrary to all
-    observed cases) no extension qualifies.
+    Deterministic search over all two-element extensions, lexicographically.
     """
     for q1 in sorted(_one_point_extensions(label.values)):
         for q2 in sorted(_one_point_extensions(q1)):
             if _is_baxter_seq(q2) and _is_simple_seq(q2):
                 return Permutation(q2)
-    fallback = simple_baxter_perms(len(label) + 2)
-    if fallback:
-        return fallback[0]
-    raise RuntimeError(f"no irreducible growth target of length {len(label) + 2} exists")
+    raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
 
 
 def grow_ihrd(f: MosaicFloorplan) -> MosaicFloorplan:

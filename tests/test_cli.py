@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from hrd.cli import main, run
@@ -54,11 +57,17 @@ class TestCheck:
         assert code == 0 and out == "true\n"
 
     def test_deep_nesting_exits_three(self, capsys, tmp_path):
+        # the tree is built iteratively, but printing it still recurses
         path = tmp_path / "identity.txt"
         path.write_text(" ".join(map(str, range(1, 1501))))
-        code, out, err = invoke(capsys, "check", "hrd", "--k", "2", "--file", str(path))
+        code, out, err = invoke(capsys, "tree", "--k", "2", "--file", str(path))
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_deep_nesting_is_checked(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_text(" ".join(map(str, range(1, 1501))))
+        assert invoke(capsys, "check", "hrd", "--k", "2", "--file", str(path)) == (0, "true\n", "")
 
 
 class TestCount:
@@ -67,20 +76,13 @@ class TestCount:
         assert code == 0 and out == "1\n"
 
     def test_engines_agree(self, capsys):
-        results = set()
-        for engine in ([], ["--literal"], ["--oracle"]):
-            code, out, _ = invoke(capsys, "count", "--k", "5", "--n", "7", *engine)
-            assert code == 0
-            results.add(out)
-        assert results == {"2062\n"}
+        code, out, _ = invoke(capsys, "count", "--k", "5", "--n", "7")
+        assert code == 0 and out == "2062\n"
 
-    def test_literal_requires_order_five(self, capsys):
-        code, _, err = invoke(capsys, "count", "--k", "4", "--n", "5", "--literal")
-        assert code == 2
-
-    def test_oracle_cap_exits_three(self, capsys):
-        code, _, err = invoke(capsys, "count", "--k", "5", "--n", "12", "--oracle")
-        assert code == 3 and "cap" in err
+    def test_reference_routes_are_not_options(self, capsys):
+        for flag in ("--oracle", "--literal", "--force"):
+            code, _, err = invoke(capsys, "count", "--k", "5", "--n", "7", flag)
+            assert code == 2 and flag in err
 
     def test_memo_and_no_memo_agree(self, capsys):
         a = invoke(capsys, "count", "--k", "5", "--n", "20")
@@ -221,6 +223,17 @@ class TestGrowIhrdCommand:
     def test_rejects_wheel(self, capsys, wheel_file):
         code, _, err = invoke(capsys, "grow-ihrd", wheel_file)
         assert code == 2
+
+
+def test_readme_examples_use_documented_options(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = [line.split("#")[0].split() for line in readme.splitlines() if line.startswith("hrd ")]
+    assert examples
+    for argv in examples:
+        assert run([argv[1], "--help"]) == 0
+        documented = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        for opt in (tok for tok in argv[2:] if tok.startswith("--")):
+            assert opt in documented, (argv, opt)
 
 
 def test_main_is_run():

@@ -109,6 +109,20 @@ class TestFast:
             table = count_hrd_fast(k, 25)
             for n in (1, 2, 5, 9, 14, 20, 25):
                 assert table.t[n] == count_hrd(k, n), (k, n)
+        # s has gaps (s_4 = s_6 = 0); at k = 12 the top column P_13 is reached
+        for k in (8, 9, 12):
+            table = count_hrd_fast(k, 14)
+            assert table.t[1:] == [count_hrd(k, n) for n in range(1, 15)], k
+
+    def test_pinned_thirtieth_terms(self):
+        # computed by the earlier evaluator, which kept a separate 12-root column
+        pinned = {
+            8: 1354309865306594386254,
+            9: 1799711509586042718054,
+            11: 2707833564351153686582,
+        }
+        for k, t30 in pinned.items():
+            assert count_hrd_fast(k, 30).t[30] == t30, k
 
     def test_sequence_values(self):
         assert sequence(2, 5) == [1, 2, 6, 22, 90]

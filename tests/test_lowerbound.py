@@ -1,5 +1,6 @@
 import pytest
 
+from hrd import lowerbound
 from hrd.perm import Permutation, is_baxter, simple_baxter_perms
 from hrd.floorplan import bp2fp, fp2bp, validate
 from hrd.gentree import is_hrd, is_ihrd
@@ -98,6 +99,17 @@ class TestInsertionFamily:
         with pytest.raises(ValueError):
             insertion_family(5, 4, P("41352"))  # target below seed
 
+    def test_flags_match_the_predicates_on_unsafe_members(self, monkeypatch):
+        # every slot counts as safe, so some members leave Baxter and order k
+        monkeypatch.setattr(lowerbound, "safe_sites", lambda p: list(range(len(p) + 1)))
+        for k, seed, n in ((2, "12", 5), (5, "41352", 7), (5, "25314", 7)):
+            members = [t.current for t in insertion_traces(k, n, P(seed), all_sites=True)]
+            r = insertion_family(k, n, P(seed), all_sites=True)
+            assert r.all_baxter == all(is_baxter(q) for q in members)
+            assert r.all_hrd_k == all(is_hrd(q, k) for q in members)
+            assert r.none_hrd_below == (k == 2 or not any(is_hrd(q, k - 1) for q in members))
+            assert not r.all_baxter
+
     def test_report_line(self):
         r = insertion_family(5, 6, P("41352"))
         assert format_report(r) == (
@@ -124,6 +136,12 @@ class TestGrowIhrd:
         seed = simple_baxter_perms(7)[0]
         grown = fp2bp(grow_ihrd(bp2fp(seed)))
         assert contains_pattern(grown, seed)
+
+    def test_label_without_an_extension_raises(self, monkeypatch):
+        # no census stand-in: any answer must contain the input label
+        monkeypatch.setattr(lowerbound, "_is_simple_seq", lambda q: False)
+        with pytest.raises(RuntimeError):
+            lowerbound._grow_label(simple_baxter_perms(7)[0])
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):
