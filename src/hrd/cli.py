@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
-validation error, 3 infeasible argument (a ``census`` or ``lowerbound``
-scan cap exceeded without --force, or an input that nests too deeply).
+validation error, 3 infeasible argument (the ``census`` scan cap exceeded
+without --force, or an input that nests too deeply).  Integers are printed
+and read whatever their length (see ``counting.unlimited_int_text``).
 """
 
 from __future__ import annotations
@@ -112,11 +113,13 @@ def _cmd_census(args) -> int:
 def _cmd_lowerbound(args) -> int:
     if args.seed is not None:
         seed = Permutation.parse(args.seed)
-    else:
-        perms = counting.census_simple_baxter(args.k, with_list=True, force=args.force).perms
+    elif args.k <= counting.DEFAULT_CENSUS_CAP:
+        perms = counting.census_simple_baxter(args.k, with_list=True).perms
         if not perms:
             raise ValueError(f"no irreducible seed of length {args.k} exists")
         seed = perms[0]
+    else:
+        seed = lowerbound.grown_seed(args.k)
     report = lowerbound.insertion_family(args.k, args.n, seed, all_sites=args.all_sites)
     print(lowerbound.format_report(report))
     ok = report.all_baxter and report.all_hrd_k and report.none_hrd_below
@@ -189,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lowerbound", help="insertion family report for a seed")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", help="irreducible seed (default: first census entry of length k)")
+    sp.add_argument("--seed", help="irreducible seed (default: first census entry of length k; beyond the census cap, a grown one)")
     sp.add_argument("--all-sites", action="store_true", help="branch over all safe sites, not the canonical three")
-    sp.add_argument("--force", action="store_true")
     sp.set_defaults(func=_cmd_lowerbound)
 
     sp = sub.add_parser("grow-ihrd", help="grow an irreducible floorplan by two rooms")
@@ -217,7 +219,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with counting.unlimited_int_text():
+            return args.func(args)
     except counting.CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import zlib
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -252,6 +254,21 @@ def oracle_count(k: int, n: int, *, cap: int = DEFAULT_ORACLE_CAP, force: bool =
     return sum(count for order, count in _order_histogram(n) if order <= k)
 
 
+@contextmanager
+def unlimited_int_text() -> Iterator[None]:
+    """Lift Python's limit on converting integers to and from decimal text
+    (4300 digits by default since 3.11) until the block exits, then restore
+    the previous limit.  Counts pass that size at a few thousand rooms."""
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
 def memo_dir() -> Path:
     env = os.environ.get(_MEMO_ENV)
     if env:
@@ -267,7 +284,8 @@ def save_table(table: CountTable, directory: Path | None = None) -> Path:
     """Write ``m t_m`` lines under a header naming k and the CRC-32 of the body."""
     path = _table_path(table.k, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = "".join(f"{m} {table.t[m]}\n" for m in range(1, table.n_max + 1))
+    with unlimited_int_text():
+        body = "".join(f"{m} {table.t[m]}\n" for m in range(1, table.n_max + 1))
     path.write_text(_table_header(table.k, body) + body)
     return path
 
@@ -289,11 +307,12 @@ def load_table(k: int, directory: Path | None = None) -> CountTable | None:
         if header + "\n" != _table_header(k, body):
             return None
         t = [0]
-        for m, line in enumerate(body.splitlines(), 1):
-            mm, tm = (int(tok) for tok in line.split())
-            if mm != m:
-                return None
-            t.append(tm)
+        with unlimited_int_text():
+            for m, line in enumerate(body.splitlines(), 1):
+                mm, tm = (int(tok) for tok in line.split())
+                if mm != m:
+                    return None
+                t.append(tm)
     except (ValueError, OSError):
         return None
     if len(t) < 2 or t[1] != 1:

@@ -14,11 +14,23 @@ in top-left deletion order and reading those labels in bottom-left deletion
 order (``fp2bp``) yields a Baxter permutation; ``bp2fp`` rebuilds the unique
 floorplan with a given label permutation by inserting rooms at the top-left
 corner in decreasing label order.
+
+Both directions are near-linear.  Deletions run on an index from each
+room's top-left corner to the room, and find the sliding rooms by hopping
+from corner to corner along the deleted room's bottom or right edge; a room
+slides at most once per axis, so a whole deletion order costs O(n)
+(``_delete_top_left``, shared by ``fp2bp`` and ``delete_corner``).
+Insertions keep the left and top boundary rooms as two stacks, which only
+change at the corner end, and give each fresh line a coordinate counting
+down from n, since it always lies nearest the corner; one rank compression
+at the end gives the canonical floorplan, O(n log n) (``bp2fp``).  What
+stays super-linear is validation: ``diagnose`` fills the canonical grid,
+O(W*H), and every function taking an untrusted floorplan calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
@@ -165,40 +177,85 @@ def _require_valid(f: MosaicFloorplan) -> None:
         raise ValueError(f"invalid mosaic floorplan: {msgs[0]}{extra}")
 
 
+def _mirror_entries(
+    width: int, height: int, entries: Iterable[tuple], flip_x: bool, flip_y: bool
+) -> Iterator[tuple]:
+    """(id, x1, y1, x2, y2) rectangles mirrored inside a width x height box,
+    on the same coordinates."""
+    for rid, x1, y1, x2, y2 in entries:
+        if flip_x:
+            x1, x2 = width - x2, width - x1
+        if flip_y:
+            y1, y2 = height - y2, height - y1
+        yield rid, x1, y1, x2, y2
+
+
+def _entries(rooms: Iterable[Room]) -> Iterator[tuple]:
+    return ((r.id, r.x1, r.y1, r.x2, r.y2) for r in rooms)
+
+
 def reflect(f: MosaicFloorplan, *, flip_x: bool = False, flip_y: bool = False) -> MosaicFloorplan:
-    entries = []
-    for r in f.rooms:
-        x1, x2 = (f.width - r.x2, f.width - r.x1) if flip_x else (r.x1, r.x2)
-        y1, y2 = (f.height - r.y2, f.height - r.y1) if flip_y else (r.y1, r.y2)
-        entries.append((r.id, x1, y1, x2, y2))
-    return _canonical_from_entries(entries)
+    return _canonical_from_entries(_mirror_entries(f.width, f.height, _entries(f.rooms), flip_x, flip_y))
 
 
-def _delete_top_left(g: MosaicFloorplan) -> tuple[MosaicFloorplan, int]:
-    """Delete the top-left room of a valid floorplan.
+def _corner_index(entries: Iterable[tuple]) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Top-left corner (x1, y1) -> (x2, y2, id) of every room."""
+    return {(x1, y1): (x2, y2, rid) for rid, x1, y1, x2, y2 in entries}
 
-    Works on the coordinates it is given; it only needs the top-left corner
-    at the origin, which every valid floorplan has.  At the room's
-    bottom-right corner exactly one of its walls continues past the corner.
-    When the vertical wall continues downward (the room holding the cell
-    just below-right of the corner starts there) the bottom edge slides up
-    and the rooms underneath grow to the top boundary; otherwise the right
-    edge slides left.  The bounding rectangle never changes.
+
+def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int, height: int) -> int:
+    """Delete the top-left room of a valid floorplan held as a corner index
+    (see ``_corner_index``), in place; return the deleted room's id.
+
+    Works on the coordinates it is given and never changes the bounding
+    rectangle.  At the deleted room b's bottom-right corner exactly one of
+    its walls continues past the corner.  When the vertical wall continues
+    downward, b's bottom edge slides up and the rooms underneath grow to the
+    top boundary; otherwise b's right edge slides left and the rooms to its
+    right grow to the left boundary.  Only the top-left corners of rooms
+    change, and only for the rooms that slide.
+
+    The sliding rooms are found by hopping from corner to corner along b's
+    bottom edge (from (0, b.y2)) or right edge (from (b.x2, 0)).  The two
+    hops run in lockstep until one decides which wall continues: the bottom
+    hop ends exactly at b.x2 when the vertical wall continues and overshoots
+    it otherwise, and the right hop likewise at b.y2.  So a deletion costs
+    O(1 + number of sliding rooms) dictionary operations.  A room that
+    slides up keeps y1 = 0 and one that slides left keeps x1 = 0, so each
+    room slides at most once per axis and deleting every room but one costs
+    O(n) in all.
     """
-    b = next(r for r in g.rooms if r.x1 == 0 and r.y1 == 0)
-    if g.n == 1:
+    if len(at) == 1:
         raise ValueError("cannot delete from a single-room floorplan")
-    vertical = b.x2 == g.width or any(r.x1 == b.x2 and r.y1 <= b.y2 < r.y2 for r in g.rooms)
-    rooms = []
-    for r in g.rooms:
-        if r.id == b.id:
-            continue
-        if vertical and r.y1 == b.y2 and r.x2 <= b.x2:
-            r = replace(r, y1=0)
-        elif not vertical and r.x1 == b.x2 and r.y2 <= b.y2:
-            r = replace(r, x1=0)
-        rooms.append(r)
-    return MosaicFloorplan(g.width, g.height, tuple(rooms)), b.id
+    x2, y2, rid = at.pop((0, 0))
+    if x2 == width:
+        vertical = True
+    elif y2 == height:
+        vertical = False
+    else:
+        across = down = 0
+        while True:
+            across = at[across, y2][0]
+            if across >= x2:
+                vertical = across == x2
+                break
+            down = at[x2, down][1]
+            if down >= y2:
+                vertical = down > y2
+                break
+    if vertical:
+        x = 0
+        while x < x2:
+            room = at.pop((x, y2))
+            at[x, 0] = room
+            x = room[0]
+    else:
+        y = 0
+        while y < y2:
+            room = at.pop((x2, y))
+            at[0, y] = room
+            y = room[1]
+    return rid
 
 
 def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
@@ -207,29 +264,40 @@ def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
     _require_valid(f)
     fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
     fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
-    out, _ = _delete_top_left(reflect(f, flip_x=fx, flip_y=fy))
-    return reflect(out, flip_x=fx, flip_y=fy)
+    at = _corner_index(_mirror_entries(f.width, f.height, _entries(f.rooms), fx, fy))
+    _delete_top_left(at, f.width, f.height)
+    rest = ((rid, x1, y1, x2, y2) for (x1, y1), (x2, y2, rid) in at.items())
+    return _canonical_from_entries(_mirror_entries(f.width, f.height, rest, fx, fy))
+
+
+def _top_left_order(width: int, height: int, entries: Iterable[tuple]) -> list[int]:
+    """Room ids of a valid floorplan in top-left deletion order; O(n)."""
+    at = _corner_index(entries)
+    order = [_delete_top_left(at, width, height) for _ in range(len(at) - 1)]
+    order.append(at[0, 0][2])
+    return order
 
 
 def _deletion_labels(g: MosaicFloorplan) -> dict[int, int]:
     """room id -> top-left deletion label (1..n) of a valid floorplan."""
-    labels: dict[int, int] = {}
-    cur = g
-    for step in range(1, g.n):
-        cur, rid = _delete_top_left(cur)
-        labels[rid] = step
-    labels[cur.rooms[0].id] = g.n
-    return labels
+    order = _top_left_order(g.width, g.height, _entries(g.rooms))
+    return {rid: label for label, rid in enumerate(order, 1)}
 
 
 def fp2bp(f: MosaicFloorplan) -> Permutation:
     """Label rooms in top-left deletion order, then read the labels in
     bottom-left deletion order, which is the top-left deletion order of the
-    vertical mirror.  The result is a Baxter permutation."""
+    vertical mirror.  The result is a Baxter permutation.
+
+    Both deletion orders run on the corner index of the input's own
+    coordinates (``_delete_top_left``), O(n) dictionary operations each, and
+    the mirror is taken on those coordinates too.  Validation (``diagnose``,
+    O(W*H) on the canonical grid) is the only super-linear step.
+    """
     _require_valid(f)
     labels = _deletion_labels(f)
-    reading = _deletion_labels(reflect(f, flip_y=True))
-    return Permutation(tuple(labels[rid] for rid in sorted(labels, key=reading.__getitem__)))
+    mirror = _mirror_entries(f.width, f.height, _entries(f.rooms), False, True)
+    return Permutation(tuple(labels[rid] for rid in _top_left_order(f.width, f.height, mirror)))
 
 
 def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> MosaicFloorplan:
@@ -239,7 +307,8 @@ def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> Mosa
     horizontal line; ``side="left"`` pushes the first j left-boundary rooms
     right onto a fresh vertical line.  Doubling the coordinates first leaves
     odd ranks free for the fresh line, and canonicalization compresses them
-    away again.
+    away again, so one insertion costs O(n log n).  ``enumerate_floorplans``
+    is built on it; ``bp2fp`` places its rooms without it.
     """
     entries = []
     if side == "top":
@@ -266,43 +335,76 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
 
     Rooms are inserted at the top-left corner in decreasing label order, so
     the room inserted for label i is deleted i-th in top-left order.  Each
-    insertion is the inverse of a corner deletion; which one is forced by
-    where label i must land in the bottom-left reading order: pushing the
-    first j left-boundary rooms makes the new room read immediately before
-    the earliest-read of them, pushing the first j top-boundary rooms makes
-    it read immediately after the latest-read of them.  Room ids of the
-    result equal the top-left deletion labels.
+    insertion is the inverse of a corner deletion: it either pushes the
+    first j left-boundary rooms right onto a fresh vertical line, or the
+    first j top-boundary rooms down onto a fresh horizontal line.  Which one
+    is forced by where label i must land in the bottom-left reading order,
+    which is p restricted to the labels inserted so far:
+
+    - Along the left boundary, top to bottom, rooms are read in decreasing
+      order of position (the bottom-left room is read first), and along the
+      top boundary, left to right, in increasing order.  So label i reads
+      in the right slot after a left push exactly when its successor in
+      that reading, the next greater element to its right in p, is on the
+      left boundary; the push then covers the left rooms down to that one.
+      Otherwise the predecessor, the previous greater element to its left,
+      is on the top boundary and a top push covers the top rooms up to it.
+      One monotone-stack pass over p gives both neighbours of every label.
+    - The left and top boundaries change only at their corner end: a push
+      covers a run of rooms nearest the corner and the new room becomes the
+      corner room of both.  Kept as two stacks, with each room's stack slot
+      recorded, the test and the push cost O(1 + rooms covered); a room is
+      covered at most once per boundary, so all insertions cost O(n).
+    - A fresh line always lies nearer the top-left corner than every
+      earlier line on its axis, so the line inserted with label i takes
+      coordinate i, counting down from n - 1, and the far boundary sits at
+      n.  Rooms only ever move their top or left edge, onto the fresh line,
+      so every coordinate is written once and rank-compressed once at the
+      end, in O(n log n).
+
+    Beyond that the cost is the ``is_baxter`` check on the input.  Room ids
+    of the result equal the top-left deletion labels.
     """
     if not is_baxter(p):
         raise ValueError("bp2fp requires a Baxter permutation")
     n = len(p)
-    g = MosaicFloorplan(1, 1, (Room(n, 0, 0, 1, 1),))
-    reading = [n]
+    after = [0] * (n + 1)  # next greater value to the right in p, 0 if none
+    before = [0] * (n + 1)  # previous greater value to the left in p, 0 if none
+    pending: list[int] = []
+    for v in p.values:
+        while pending and pending[-1] < v:
+            after[pending.pop()] = v
+        before[v] = pending[-1] if pending else 0
+        pending.append(v)
+
+    x1 = [0] * (n + 1)
+    y1 = [0] * (n + 1)
+    x2 = [0] * (n + 1)
+    y2 = [0] * (n + 1)
+    x2[n] = y2[n] = n
+    lefts, tops = [n], [n]  # boundary rooms, the corner room last
+    left_slot = [0] * (n + 1)
+    top_slot = [0] * (n + 1)
     for label in range(n - 1, 0, -1):
-        kept = [v for v in p.values if v >= label]
-        q = kept.index(label) + 1
-        idx = {lab: i + 1 for i, lab in enumerate(reading)}
-        move = None
-        cur = None
-        lefts = sorted((r for r in g.rooms if r.x1 == 0), key=lambda r: r.y1)
-        for j, r in enumerate(lefts, 1):
-            cur = idx[r.id] if cur is None else min(cur, idx[r.id])
-            if cur == q:
-                move = ("left", j)
-                break
-        if move is None:
-            cur = None
-            tops = sorted((r for r in g.rooms if r.y1 == 0), key=lambda r: r.x1)
-            for j, r in enumerate(tops, 1):
-                cur = idx[r.id] if cur is None else max(cur, idx[r.id])
-                if cur + 1 == q:
-                    move = ("top", j)
-                    break
-        if move is None:
-            raise AssertionError(f"no insertion realizes reading slot {q}; input was not Baxter?")
-        g = _insert_top_left(g, move[0], move[1], label)
-        reading.insert(q - 1, label)
-    return g
+        v, u = after[label], before[label]
+        i, j = left_slot[v], top_slot[u]
+        if v and i < len(lefts) and lefts[i] == v:
+            for r in lefts[i:]:
+                x1[r] = label
+            del lefts[i:]
+            x2[label], y2[label] = label, y2[v]
+        elif u and j < len(tops) and tops[j] == u:
+            for r in tops[j:]:
+                y1[r] = label
+            del tops[j:]
+            x2[label], y2[label] = x2[u], label
+        else:
+            raise AssertionError(f"no insertion places label {label}; input was not Baxter?")
+        left_slot[label] = len(lefts)
+        lefts.append(label)
+        top_slot[label] = len(tops)
+        tops.append(label)
+    return _canonical_from_entries((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
 
 
 def enumerate_floorplans(n: int) -> Iterator[MosaicFloorplan]:

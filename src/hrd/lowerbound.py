@@ -171,6 +171,18 @@ def _grow_label(label: Permutation) -> Permutation:
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
 
 
+def grown_seed(k: int) -> Permutation:
+    """A simple Baxter permutation of length k without a census: 41352 for
+    odd k, 24853617 for even k, grown two elements at a time by
+    ``_grow_label``, for k = 5 or k >= 7."""
+    if k < 7 and k != 5:
+        raise ValueError(f"grown seeds have length 5 or at least 7, not {k}")
+    p = Permutation.parse("41352" if k % 2 else "24853617")
+    while len(p) < k:
+        p = _grow_label(p)
+    return p
+
+
 def grow_ihrd(f: MosaicFloorplan) -> MosaicFloorplan:
     """Grow an irreducible dissection of order k >= 7 into one of order k+2.
 

@@ -1,9 +1,14 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately share no code with the production predicates they check.
+These deliberately share no code with the production routes they check.
+The reference ``bp2fp`` inserts through ``hrd.floorplan._insert_top_left``,
+which the production ``bp2fp`` does not call.
 """
 
+from dataclasses import replace
 from itertools import combinations
+
+from hrd.floorplan import MosaicFloorplan, Room, _insert_top_left
 
 
 def baxter_quadruple_scan(values) -> bool:
@@ -65,3 +70,80 @@ def inflate_bruteforce(skeleton, children):
         ordered = sorted(range(lo, lo + len(child)))
         out.extend(ordered[cv - 1] for cv in child)
     return tuple(out)
+
+
+def bp2fp_by_reinsertion(p):
+    """Reference ``bp2fp``: one top-left insertion per label, each followed
+    by a re-canonicalization of the whole floorplan, with the insertion
+    chosen by searching the boundary rooms' bottom-left reading slots.
+    O(n^2 log n); the input must be a Baxter permutation."""
+    n = len(p)
+    g = MosaicFloorplan(1, 1, (Room(n, 0, 0, 1, 1),))
+    reading = [n]
+    for label in range(n - 1, 0, -1):
+        kept = [v for v in p.values if v >= label]
+        q = kept.index(label) + 1
+        idx = {lab: i + 1 for i, lab in enumerate(reading)}
+        move = None
+        cur = None
+        lefts = sorted((r for r in g.rooms if r.x1 == 0), key=lambda r: r.y1)
+        for j, r in enumerate(lefts, 1):
+            cur = idx[r.id] if cur is None else min(cur, idx[r.id])
+            if cur == q:
+                move = ("left", j)
+                break
+        if move is None:
+            cur = None
+            tops = sorted((r for r in g.rooms if r.y1 == 0), key=lambda r: r.x1)
+            for j, r in enumerate(tops, 1):
+                cur = idx[r.id] if cur is None else max(cur, idx[r.id])
+                if cur + 1 == q:
+                    move = ("top", j)
+                    break
+        if move is None:
+            raise AssertionError(f"no insertion realizes reading slot {q}; input was not Baxter?")
+        g = _insert_top_left(g, move[0], move[1], label)
+        reading.insert(q - 1, label)
+    return g
+
+
+def delete_top_left_by_scan(width, height, rooms):
+    """Top-left deletion that scans every room for the sliding edge; returns
+    the remaining rooms and the deleted id."""
+    b = next(r for r in rooms if r.x1 == 0 and r.y1 == 0)
+    vertical = b.x2 == width or any(r.x1 == b.x2 and r.y1 <= b.y2 < r.y2 for r in rooms)
+    rest = []
+    for r in rooms:
+        if r.id == b.id:
+            continue
+        if vertical and r.y1 == b.y2 and r.x2 <= b.x2:
+            r = replace(r, y1=0)
+        elif not vertical and r.x1 == b.x2 and r.y2 <= b.y2:
+            r = replace(r, x1=0)
+        rest.append(r)
+    return rest, b.id
+
+
+def deletion_labels_by_scan(f):
+    """room id -> top-left deletion label of a valid floorplan, one full
+    scan per deletion: O(n^2)."""
+    labels = {}
+    rooms = list(f.rooms)
+    for step in range(1, f.n):
+        rooms, rid = delete_top_left_by_scan(f.width, f.height, rooms)
+        labels[rid] = step
+    labels[rooms[0].id] = f.n
+    return labels
+
+
+def fp2bp_by_scan(f):
+    """Reference ``fp2bp`` values: top-left deletion labels read in the
+    top-left deletion order of the vertical mirror, both by full scans."""
+    labels = deletion_labels_by_scan(f)
+    mirror = MosaicFloorplan(
+        f.width,
+        f.height,
+        tuple(Room(r.id, r.x1, f.height - r.y2, r.x2, f.height - r.y1) for r in f.rooms),
+    )
+    reading = deletion_labels_by_scan(mirror)
+    return tuple(labels[rid] for rid in sorted(labels, key=reading.__getitem__))

@@ -1,4 +1,5 @@
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,23 @@ class TestCount:
             assert (code, out) == (2, ""), argv
             assert err.startswith("error: ")
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+    def test_counts_longer_than_the_int_text_limit(self, capsys):
+        schroeder = [1, 2]  # large Schroeder numbers r_0, r_1, ...; t_n = r_{n-1}
+        for m in range(2, 900):
+            schroeder.append((3 * (2 * m - 1) * schroeder[-1] - (m - 2) * schroeder[-2]) // (m + 1))
+        expected = f"{schroeder[899]}\n"
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = invoke(capsys, "count", "--k", "2", "--n", "900")
+            limit_after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code, err) == (0, "")
+        assert out == expected and len(out) == 685
+        assert limit_after == 640
+
     def test_order_beyond_census_cap(self, capsys):
         code, out, _ = invoke(capsys, "count", "--k", "11", "--n", "20", "--no-memo")
         assert code == 0 and out == "24535415330662\n"
@@ -207,6 +225,15 @@ class TestLowerboundCommand:
     def test_default_seed_is_first_census_entry(self, capsys):
         code, out, _ = invoke(capsys, "lowerbound", "--k", "5", "--n", "6")
         assert code == 0 and out.startswith("seed=25314 ")
+
+    def test_default_seed_beyond_the_census_cap(self, capsys):
+        code, out, _ = invoke(capsys, "lowerbound", "--k", "11", "--n", "12")
+        assert code == 0
+        assert " k=11 n=12 family=3 expected=3 " in out and out.rstrip().endswith("none_hrd_k-1=True")
+
+    def test_force_is_not_an_option(self, capsys):
+        code, _, err = invoke(capsys, "lowerbound", "--k", "5", "--n", "6", "--force")
+        assert code == 2 and "--force" in err
 
 
 class TestGrowIhrdCommand:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hrd.counting import (
@@ -168,6 +170,21 @@ class TestMemo:
         loaded = load_table(5, tmp_path)
         assert loaded is not None
         assert loaded.t == table.t
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
+    def test_roundtrip_beyond_the_int_text_limit(self, tmp_path):
+        table = count_hrd_fast(2, 900)
+        assert len(str(table.t[900])) == 684
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            save_table(table, tmp_path)
+            loaded = load_table(2, tmp_path)
+            limit_after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert loaded is not None and loaded.t == table.t
+        assert limit_after == 640
 
     def test_missing_table(self, tmp_path):
         assert load_table(3, tmp_path) is None

@@ -1,4 +1,7 @@
+import bisect
+import itertools
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,7 +12,6 @@ from hrd.floorplan import (
     FloorplanFormatError,
     MosaicFloorplan,
     Room,
-    _deletion_labels,
     bp2fp,
     canonical,
     delete_corner,
@@ -20,11 +22,13 @@ from hrd.floorplan import (
     format_floorplan,
     fp2bp,
     parse_floorplan,
+    reflect,
     render,
     seg_room_relations,
     single_room,
     validate,
 )
+from oracles import bp2fp_by_reinsertion, delete_top_left_by_scan, deletion_labels_by_scan, fp2bp_by_scan
 
 P = Permutation.parse
 
@@ -45,6 +49,39 @@ def random_baxter(rng: random.Random, n: int) -> Permutation:
     cuts = sorted(rng.sample(range(1, n), len(skeleton) - 1))
     sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
     return inflate(skeleton, [random_baxter(rng, m) for m in sizes])
+
+
+def respaced(rng: random.Random, f: MosaicFloorplan) -> MosaicFloorplan:
+    """The same wall topology on strictly increasing re-spaced coordinates,
+    with fresh room ids and the rooms shuffled."""
+    xs = [0, *sorted(rng.sample(range(1, 20 * f.width), f.width))]
+    ys = [0, *sorted(rng.sample(range(1, 20 * f.height), f.height))]
+    ids = rng.sample(range(1, 10 * f.n), f.n)
+    rooms = [Room(i, xs[r.x1], ys[r.y1], xs[r.x2], ys[r.y2]) for i, r in zip(ids, f.rooms)]
+    rng.shuffle(rooms)
+    return MosaicFloorplan(xs[-1], ys[-1], tuple(rooms))
+
+
+def tiles(f: MosaicFloorplan) -> bool:
+    """Rooms inside the bounding box, pairwise disjoint and covering its
+    area.  Disjointness is checked by a sweep over x that keeps the y-ranges
+    of the rooms crossing the sweep line sorted; a new range can only
+    overlap its neighbours there.  No grid, so large inputs are cheap."""
+    if any(not (0 <= r.x1 < r.x2 <= f.width and 0 <= r.y1 < r.y2 <= f.height) for r in f.rooms):
+        return False
+    if sum((r.x2 - r.x1) * (r.y2 - r.y1) for r in f.rooms) != f.width * f.height:
+        return False
+    events = sorted([(r.x1, 1, r.y1, r.y2) for r in f.rooms] + [(r.x2, 0, r.y1, r.y2) for r in f.rooms])
+    crossing: list[tuple[int, int]] = []
+    for _, starts, y1, y2 in events:
+        if not starts:
+            crossing.remove((y1, y2))
+            continue
+        i = bisect.bisect(crossing, (y1, y2))
+        if (i and crossing[i - 1][1] > y1) or (i < len(crossing) and crossing[i][0] < y2):
+            return False
+        crossing.insert(i, (y1, y2))
+    return True
 
 
 class TestValidate:
@@ -155,19 +192,69 @@ class TestLargeInputs:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bp2fp_room_ids_are_deletion_labels(self, seed):
         f = bp2fp(random_baxter(random.Random(seed), 300))
-        assert all(rid == label for rid, label in _deletion_labels(f).items())
+        assert all(rid == label for rid, label in deletion_labels_by_scan(f).items())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fp2bp_ignores_spacing_ids_and_room_order(self, seed):
         rng = random.Random(seed)
         p = random_baxter(rng, 300)
+        assert fp2bp(respaced(rng, bp2fp(p))) == p
+
+    def test_bp2fp_at_ten_thousand_rooms(self):
+        p = random_baxter(random.Random(10), 10_000)
+        start = perf_counter()
         f = bp2fp(p)
-        xs = [0, *sorted(rng.sample(range(1, 20 * f.width), f.width))]
-        ys = [0, *sorted(rng.sample(range(1, 20 * f.height), f.height))]
-        ids = rng.sample(range(1, 10 * f.n), f.n)
-        rooms = [Room(i, xs[r.x1], ys[r.y1], xs[r.x2], ys[r.y2]) for i, r in zip(ids, f.rooms)]
-        rng.shuffle(rooms)
-        assert fp2bp(MosaicFloorplan(xs[-1], ys[-1], tuple(rooms))) == p
+        assert perf_counter() - start < 3.0
+        assert sorted(r.id for r in f.rooms) == list(range(1, 10_001))
+        assert tiles(f)
+
+    def test_roundtrip_at_a_thousand_rooms(self):
+        p = random_baxter(random.Random(1000), 1000)
+        f = bp2fp(p)
+        assert tiles(f) and fp2bp(f) == p
+
+
+class TestAgainstReference:
+    """The corner-index ``fp2bp`` and ``delete_corner`` against full scans
+    per deletion, and the stack-based ``bp2fp`` against re-canonicalizing
+    insertions (tests/oracles.py)."""
+
+    def test_bp2fp_on_every_small_baxter_permutation(self):
+        seen = 0
+        for n in range(1, 9):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p = Permutation(vals)
+                if is_baxter(p):
+                    assert bp2fp(p) == bp2fp_by_reinsertion(p), p
+                    seen += 1
+        assert seen == 13373
+
+    @pytest.mark.parametrize("n", [200, 400, 1000])
+    def test_bp2fp_on_large_inputs(self, n):
+        p = random_baxter(random.Random(n), n)
+        assert bp2fp(p) == bp2fp_by_reinsertion(p)
+
+    def test_fp2bp_over_enumeration(self):
+        for n in range(1, 8):
+            for f in enumerate_floorplans(n):
+                assert fp2bp(f).values == fp2bp_by_scan(f)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_fp2bp_on_respaced_large_inputs(self, n):
+        rng = random.Random(n)
+        f = respaced(rng, bp2fp(random_baxter(rng, n)))
+        assert fp2bp(f).values == fp2bp_by_scan(f)
+
+    @pytest.mark.parametrize("corner", list(Corner))
+    def test_delete_corner_over_enumeration(self, corner):
+        fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
+        fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
+        for n in range(2, 7):
+            for f in enumerate_floorplans(n):
+                g = reflect(f, flip_x=fx, flip_y=fy)
+                rest, _ = delete_top_left_by_scan(g.width, g.height, g.rooms)
+                expect = reflect(MosaicFloorplan(g.width, g.height, tuple(rest)), flip_x=fx, flip_y=fy)
+                assert delete_corner(f, corner) == expect
 
 
 class TestEnumeration:
