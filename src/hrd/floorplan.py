@@ -23,13 +23,14 @@ slides at most once per axis, so a whole deletion order costs O(n)
 Insertions keep the left and top boundary rooms as two stacks, which only
 change at the corner end, and give each fresh line a coordinate counting
 down from n, since it always lies nearest the corner; one rank compression
-at the end gives the canonical floorplan, O(n log n) (``bp2fp``).  What
-stays super-linear is validation: ``diagnose`` fills the canonical grid,
-O(W*H), and every function taking an untrusted floorplan calls it.
+at the end gives the canonical floorplan, O(n log n) (``bp2fp``).
+Validation, which every function taking an untrusted floorplan runs, is
+O(n) from the room areas and the parity of corner counts (``diagnose``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
@@ -119,8 +120,17 @@ def _grid(g: MosaicFloorplan) -> list[list[int]]:
 
 
 def diagnose(f: MosaicFloorplan) -> list[str]:
-    """Human-readable reasons why ``f`` is not a valid mosaic floorplan."""
+    """Human-readable reasons why ``f`` is not a valid mosaic floorplan.
+
+    O(n) on the input's own coordinates.  Mod 2, the number of rooms with a
+    corner at a point is the second difference of the cells' coverage.  So
+    if the points with an odd count are exactly the box corners, every cell
+    is covered an odd number of times, and rooms inside the box with total
+    area W*H tile it exactly; a corner of four rooms is then a '+' junction.
+    """
     msgs: list[str] = []
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in (f.width, f.height)):
+        msgs.append(f"bounding rectangle {f.width}x{f.height}: width and height must be integers")
     if f.width < 1 or f.height < 1:
         msgs.append(f"bounding rectangle {f.width}x{f.height} is degenerate")
     if not f.rooms:
@@ -141,28 +151,18 @@ def diagnose(f: MosaicFloorplan) -> list[str]:
     if msgs:
         return msgs
 
-    g = canonical(f)
-    grid = [[None] * g.width for _ in range(g.height)]
-    for r in g.rooms:
-        for y in range(r.y1, r.y2):
-            for x in range(r.x1, r.x2):
-                if grid[y][x] is not None:
-                    msgs.append(f"rooms {grid[y][x]} and {r.id} overlap")
-                    return msgs
-                grid[y][x] = r.id
-    for y in range(g.height):
-        for x in range(g.width):
-            if grid[y][x] is None:
-                msgs.append(f"uncovered area around grid cell ({x},{y})")
-                return msgs
-
-    for y in range(1, g.height):
-        for x in range(1, g.width):
-            nw, ne = grid[y - 1][x - 1], grid[y - 1][x]
-            sw, se = grid[y][x - 1], grid[y][x]
-            if nw != ne and sw != se and nw != sw and ne != se:
-                msgs.append(f"'+' junction at grid point ({x},{y})")
-    return msgs
+    area = sum((r.x2 - r.x1) * (r.y2 - r.y1) for r in f.rooms)
+    if area > f.width * f.height:
+        return [f"rooms overlap: their areas add up to {area}, more than {f.width}*{f.height}"]
+    if area < f.width * f.height:
+        return [f"uncovered area: the rooms' areas add up to {area}, less than {f.width}*{f.height}"]
+    corners = Counter(p for r in f.rooms for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)))
+    odd = {p for p, k in corners.items() if k % 2}
+    unmatched = odd ^ {(0, 0), (f.width, 0), (0, f.height), (f.width, f.height)}
+    if unmatched:
+        x, y = min(unmatched, key=lambda p: (p[1], p[0]))
+        return [f"rooms overlap and leave a gap: ({x},{y}) is a corner of {corners[x, y]} rooms"]
+    return [f"'+' junction at point ({x},{y})" for (x, y), k in corners.items() if k == 4]
 
 
 def validate(f: MosaicFloorplan) -> bool:
@@ -291,8 +291,7 @@ def fp2bp(f: MosaicFloorplan) -> Permutation:
 
     Both deletion orders run on the corner index of the input's own
     coordinates (``_delete_top_left``), O(n) dictionary operations each, and
-    the mirror is taken on those coordinates too.  Validation (``diagnose``,
-    O(W*H) on the canonical grid) is the only super-linear step.
+    the mirror and the validation (``diagnose``) run on them too.
     """
     _require_valid(f)
     labels = _deletion_labels(f)

@@ -2,13 +2,15 @@
 
 These deliberately share no code with the production routes they check.
 The reference ``bp2fp`` inserts through ``hrd.floorplan._insert_top_left``,
-which the production ``bp2fp`` does not call.
+which the production ``bp2fp`` does not call, and the reference
+``diagnose`` rank-compresses through ``hrd.floorplan.canonical``, which the
+production ``diagnose`` does not call.
 """
 
 from dataclasses import replace
 from itertools import combinations
 
-from hrd.floorplan import MosaicFloorplan, Room, _insert_top_left
+from hrd.floorplan import MosaicFloorplan, Room, _insert_top_left, canonical
 
 
 def baxter_quadruple_scan(values) -> bool:
@@ -147,3 +149,52 @@ def fp2bp_by_scan(f):
     )
     reading = deletion_labels_by_scan(mirror)
     return tuple(labels[rid] for rid in sorted(labels, key=reading.__getitem__))
+
+
+def diagnose_by_grid(f: MosaicFloorplan) -> list[str]:
+    """Reference ``diagnose``: fills the canonical cell grid, reporting the
+    first cell covered twice, then the first cell not covered, then every
+    grid point where four rooms meet.  O(W*H) on the canonical grid."""
+    msgs: list[str] = []
+    if f.width < 1 or f.height < 1:
+        msgs.append(f"bounding rectangle {f.width}x{f.height} is degenerate")
+    if not f.rooms:
+        msgs.append("a floorplan needs at least one room")
+        return msgs
+    seen_ids = set()
+    for r in f.rooms:
+        for c in (r.x1, r.y1, r.x2, r.y2):
+            if not isinstance(c, int) or isinstance(c, bool):
+                msgs.append(f"room {r.id}: coordinates must be integers")
+                break
+        else:
+            if not (0 <= r.x1 < r.x2 <= f.width and 0 <= r.y1 < r.y2 <= f.height):
+                msgs.append(f"room {r.id}: rectangle ({r.x1},{r.y1})-({r.x2},{r.y2}) is not a proper box inside the bounds")
+        if r.id in seen_ids:
+            msgs.append(f"duplicate room id {r.id}")
+        seen_ids.add(r.id)
+    if msgs:
+        return msgs
+
+    g = canonical(f)
+    grid = [[None] * g.width for _ in range(g.height)]
+    for r in g.rooms:
+        for y in range(r.y1, r.y2):
+            for x in range(r.x1, r.x2):
+                if grid[y][x] is not None:
+                    msgs.append(f"rooms {grid[y][x]} and {r.id} overlap")
+                    return msgs
+                grid[y][x] = r.id
+    for y in range(g.height):
+        for x in range(g.width):
+            if grid[y][x] is None:
+                msgs.append(f"uncovered area around grid cell ({x},{y})")
+                return msgs
+
+    for y in range(1, g.height):
+        for x in range(1, g.width):
+            nw, ne = grid[y - 1][x - 1], grid[y - 1][x]
+            sw, se = grid[y][x - 1], grid[y][x]
+            if nw != ne and sw != se and nw != sw and ne != se:
+                msgs.append(f"'+' junction at grid point ({x},{y})")
+    return msgs

@@ -194,6 +194,15 @@ class TestFloorplanCommands:
         code, _, err = invoke(capsys, "fp2bp", str(path))
         assert code == 2 and "junction" in err
 
+    @pytest.mark.parametrize("command", ["fp2bp", "render"])
+    def test_shifted_room_is_an_overlap(self, capsys, tmp_path, command):
+        # a row of three unit rooms with the third shifted one unit left:
+        # the area is right, but rooms 2 and 3 overlap and (2,0)-(3,1) is bare
+        path = tmp_path / "shifted.fp"
+        path.write_text("3 1 3\n1 0 0 1 1\n2 1 0 2 1\n3 1 0 2 1\n")
+        code, _, err = invoke(capsys, command, str(path))
+        assert code == 2 and "overlap" in err and "(1,0)" in err
+
 
 class TestDecomposeAndTree:
     def test_decompose(self, capsys):

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import random
+from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -28,7 +29,13 @@ from hrd.floorplan import (
     single_room,
     validate,
 )
-from oracles import bp2fp_by_reinsertion, delete_top_left_by_scan, deletion_labels_by_scan, fp2bp_by_scan
+from oracles import (
+    bp2fp_by_reinsertion,
+    delete_top_left_by_scan,
+    deletion_labels_by_scan,
+    diagnose_by_grid,
+    fp2bp_by_scan,
+)
 
 P = Permutation.parse
 
@@ -108,6 +115,11 @@ class TestValidate:
     def test_degenerate_room_rejected(self):
         f = MosaicFloorplan(1, 1, (Room(1, 0, 0, 0, 1),))
         assert not validate(f)
+
+    @pytest.mark.parametrize("width, height", [(True, 1), (1.5, 1), (1, 1.0)])
+    def test_bounds_must_be_integers(self, width, height):
+        f = MosaicFloorplan(width, height, (Room(1, 0, 0, 1, 1),))
+        assert diagnose(f) == [f"bounding rectangle {width}x{height}: width and height must be integers"]
 
 
 class TestDeleteCorner:
@@ -208,6 +220,14 @@ class TestLargeInputs:
         assert sorted(r.id for r in f.rooms) == list(range(1, 10_001))
         assert tiles(f)
 
+    def test_validation_and_text_roundtrip_at_ten_thousand_rooms(self):
+        p = random_baxter(random.Random(10), 10_000)
+        start = perf_counter()
+        f = bp2fp(p)
+        assert validate(f)
+        assert fp2bp(parse_floorplan(format_floorplan(f))) == p
+        assert perf_counter() - start < 3.0
+
     def test_roundtrip_at_a_thousand_rooms(self):
         p = random_baxter(random.Random(1000), 1000)
         f = bp2fp(p)
@@ -255,6 +275,72 @@ class TestAgainstReference:
                 rest, _ = delete_top_left_by_scan(g.width, g.height, g.rooms)
                 expect = reflect(MosaicFloorplan(g.width, g.height, tuple(rest)), flip_x=fx, flip_y=fy)
                 assert delete_corner(f, corner) == expect
+
+
+def perturbed(rng: random.Random, f: MosaicFloorplan):
+    """Seeded defective copies of ``f``: a room deleted, a room duplicated
+    under a new id, one edge moved by +-1, and one room shifted by one unit
+    inside the box, which keeps the total area (none for a single room)."""
+    rooms = list(f.rooms)
+    r = rng.choice(rooms)
+    yield [q for q in rooms if q is not r]
+    yield rooms + [replace(rng.choice(rooms), id=max(q.id for q in rooms) + 1)]
+    r, edge = rng.choice(rooms), rng.choice(("x1", "y1", "x2", "y2"))
+    moved = replace(r, **{edge: getattr(r, edge) + rng.choice((-1, 1))})
+    yield [moved if q is r else q for q in rooms]
+    shifts = [
+        (r, dx, dy)
+        for r in rooms
+        for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1))
+        if 0 <= r.x1 + dx and r.x2 + dx <= f.width and 0 <= r.y1 + dy and r.y2 + dy <= f.height
+    ]
+    if shifts:
+        r, dx, dy = rng.choice(shifts)
+        moved = Room(r.id, r.x1 + dx, r.y1 + dy, r.x2 + dx, r.y2 + dy)
+        yield [moved if q is r else q for q in rooms]
+
+
+def defect_class(msgs: list[str]):
+    """What the grid gate compares of a ``diagnose`` answer: the junction
+    count, the first message's defect ("overlap" or "uncovered"), or, for the
+    checks before the tiling, the messages themselves."""
+    if msgs and "junction" in msgs[0]:
+        return "junction", len(msgs)
+    for word in ("overlap", "uncovered"):
+        if msgs and word in msgs[0]:
+            return word
+    return tuple(msgs)
+
+
+class TestDiagnoseAgainstGrid:
+    """``diagnose`` (area and corner parity) against the cell grid it
+    replaced (tests/oracles.py): same verdict and same defect class."""
+
+    def test_enumeration_and_perturbations(self):
+        rng = random.Random(7)
+        cases = equal_area_defects = 0
+        for n in range(1, 7):
+            for g in enumerate_floorplans(n):
+                for s in (1, 2):
+                    f = MosaicFloorplan(s * g.width, s * g.height, tuple(
+                        Room(r.id, s * r.x1, s * r.y1, s * r.x2, s * r.y2) for r in g.rooms))
+                    for rooms in [f.rooms, *perturbed(rng, f)]:
+                        h = MosaicFloorplan(f.width, f.height, tuple(rooms))
+                        got = defect_class(diagnose(h))
+                        assert got == defect_class(diagnose_by_grid(h)), h
+                        area = sum((r.x2 - r.x1) * (r.y2 - r.y1) for r in rooms)
+                        equal_area_defects += got == "overlap" and area == h.width * h.height
+                        cases += 1
+        # 545 plans at two spacings, each as it is and in four defective
+        # copies, less the shift of the single room; every shift is an
+        # equal-area defect
+        assert cases == 545 * 2 * 5 - 2
+        assert equal_area_defects == 545 * 2 - 2
+
+    def test_three_by_three_has_four_plus_junctions(self):
+        nine = MosaicFloorplan(3, 3, tuple(
+            Room(3 * y + x + 1, x, y, x + 1, y + 1) for y in range(3) for x in range(3)))
+        assert defect_class(diagnose(nine)) == defect_class(diagnose_by_grid(nine)) == ("junction", 4)
 
 
 class TestEnumeration:
