@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
 validation error, 3 infeasible argument (the ``census`` scan cap exceeded
-without --force, or an input that nests too deeply).  Integers are printed
-and read whatever their length (see ``counting.unlimited_int_text``).
+without --force).  Integers are printed and read whatever their length
+(see ``counting.unlimited_int_text``).
 """
 
 from __future__ import annotations
@@ -223,9 +223,6 @@ def run(argv: list[str] | None = None) -> int:
             return args.func(args)
     except counting.CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RecursionError as e:
-        print(f"error: input nests too deeply ({e})", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

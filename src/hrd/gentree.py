@@ -7,18 +7,23 @@ length.  The skew rule removes the 12/21 symmetry: the child occupying the
 first-child slot of a node labeled 12 (resp. 21) may not itself be labeled
 12 (resp. 21).  With that rule the tree for a permutation is unique and is
 exactly its recursive canonical decomposition.
+
+The tree functions share one iterative post-order fold (``_fold``), and
+checking and parsing are loops, so none recurses on an input's nesting depth.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 from .floorplan import MosaicFloorplan, _canonical_from_entries, bp2fp, single_room
 from .perm import Decomposition, Permutation, decompose, inflate, is_baxter, is_simple, simple_baxter_perms
 
+_P1 = Permutation.of(1)
 _P12 = Permutation.of(1, 2)
 _P21 = Permutation.of(2, 1)
 
@@ -37,39 +42,55 @@ class Node:
 
 
 GenTree = Union[Leaf, Node]
+V = TypeVar("V")
+
+
+def _nodes(t: GenTree) -> Iterator[Node]:
+    """The internal nodes of ``t``, parents first and children left to right."""
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, Node):
+            yield sub
+            stack.extend(reversed(sub.children))
+
+
+def _fold(t: GenTree, leaf_value: V, combine: Callable[[Node, list[V]], V]) -> V:
+    """Post-order fold: ``leaf_value`` at every leaf, ``combine(node, values
+    of its children left to right)`` at every node.  Iterative: nodes are
+    combined in reverse preorder, which leaves a node's child values on top
+    of ``built``, first child topmost.
+    """
+    built: list[V] = []
+    for node in reversed(list(_nodes(t))):
+        built.append(combine(node, [leaf_value if isinstance(c, Leaf) else built.pop() for c in node.children]))
+    return built[0] if built else leaf_value
 
 
 def leaf_count(t: GenTree) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    return _fold(t, 1, lambda node, counts: sum(counts))
 
 
 def check_tree(t: GenTree, k: int | None = None) -> None:
     """Raise ValueError if ``t`` violates the generating-tree invariants."""
-    if isinstance(t, Leaf):
-        return
-    m = len(t.label)
-    if m < 2:
-        raise ValueError("node labels must be non-singleton")
-    if k is not None and m > k:
-        raise ValueError(f"node label {t.label} exceeds order {k}")
-    if not (is_simple(t.label) and is_baxter(t.label)):
-        raise ValueError(f"node label {t.label} is not simple Baxter")
-    if len(t.children) != m:
-        raise ValueError(f"node labeled {t.label} needs {m} children, has {len(t.children)}")
-    first = t.children[0]
-    if t.label in (_P12, _P21) and isinstance(first, Node) and first.label == t.label:
-        raise ValueError(f"skew rule: restricted child of {t.label} repeats the label")
-    for c in t.children:
-        check_tree(c, k)
+    for node in _nodes(t):
+        m = len(node.label)
+        if m < 2:
+            raise ValueError("node labels must be non-singleton")
+        if k is not None and m > k:
+            raise ValueError(f"node label {node.label} exceeds order {k}")
+        if not (is_simple(node.label) and is_baxter(node.label)):
+            raise ValueError(f"node label {node.label} is not simple Baxter")
+        if len(node.children) != m:
+            raise ValueError(f"node labeled {node.label} needs {m} children, has {len(node.children)}")
+        first = node.children[0]
+        if node.label in (_P12, _P21) and isinstance(first, Node) and first.label == node.label:
+            raise ValueError(f"skew rule: restricted child of {node.label} repeats the label")
 
 
 def perm_of_tree(t: GenTree) -> Permutation:
-    """Evaluate a tree by recursive inflation; a leaf is the singleton."""
-    if isinstance(t, Leaf):
-        return Permutation.of(1)
-    return inflate(t.label, [perm_of_tree(c) for c in t.children])
+    """Inflate every node's label by its children's permutations; a leaf is 1."""
+    return _fold(t, _P1, lambda node, kids: inflate(node.label, kids))
 
 
 def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
@@ -134,7 +155,7 @@ def hierarchy_order(p: Permutation) -> int:
 
 
 def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
-    """Realize a tree geometrically by recursive embedding.
+    """Realize a tree geometrically by embedding, children before parents.
 
     The base floorplan of a node is built from its label; the child at
     position i (whose values form value block sigma[i]) is embedded into the
@@ -143,14 +164,9 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
     disjoint offset block), so no accidental collinearity can produce a '+'
     junction.  The result is rank-canonical with fresh room ids.
     """
-    if isinstance(t, Leaf):
-        return single_room()
 
-    def build(sub: GenTree) -> MosaicFloorplan:
-        if isinstance(sub, Leaf):
-            return single_room()
-        base = bp2fp(sub.label)
-        kids = [build(c) for c in sub.children]
+    def embed(node: Node, kids: list[MosaicFloorplan]) -> MosaicFloorplan:
+        base = bp2fp(node.label)
         # scale the base grid so each room can host its child's interior
         # lines on globally unused coordinates
         kx = sum(c.width - 1 for c in kids) + 1
@@ -159,7 +175,7 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
         ids = itertools.count(1)
         entries: list[tuple] = []
         for pos, child in enumerate(kids):
-            room = base.room(sub.label.values[pos])
+            room = base.room(node.label.values[pos])
 
             def map_x(cx: int, room=room, child=child, off=off_x) -> int:
                 if cx == 0:
@@ -181,7 +197,7 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
             off_y += child.height - 1
         return _canonical_from_entries(entries)
 
-    return build(t)
+    return _fold(t, single_room(), embed)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -226,67 +242,52 @@ def enumerate_trees(k: int, n: int) -> Iterator[GenTree]:
 
 def format_tree(t: GenTree) -> str:
     """Parenthesized prefix form: leaf ``.``, node ``(<label> <child> ...)``."""
-    if isinstance(t, Leaf):
-        return "."
-    label = t.label.compact() if len(t.label) <= 9 else str(t.label)
-    return "(" + " ".join([label] + [format_tree(c) for c in t.children]) + ")"
+
+    def node_text(node: Node, kids: list[str]) -> str:
+        label = node.label.compact() if len(node.label) <= 9 else str(node.label)
+        return "(" + " ".join([label] + kids) + ")"
+
+    return _fold(t, ".", node_text)
 
 
 def parse_tree(text: str) -> GenTree:
     """Parse the prefix form, enforcing arity, label and skew invariants."""
     tokens = _tokenize(text)
-    tree, rest = _parse_node(tokens)
-    if rest:
-        raise ValueError(f"trailing content after tree: {' '.join(rest)}")
-    check_tree(tree)
-    return tree
+    open_nodes: list[tuple[Permutation, list[GenTree]]] = []  # label, children so far
+    i = 0
+    while True:
+        if i == len(tokens):
+            raise ValueError("unterminated node: missing ')'" if open_nodes else "unexpected end of tree text")
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            j = i
+            while j < len(tokens) and tokens[j] not in "().":
+                j += 1
+            if j == i:
+                raise ValueError("node is missing its label")
+            open_nodes.append((Permutation.parse(" ".join(tokens[i:j])), []))
+            i = j
+            continue
+        if tok == ".":
+            done: GenTree = Leaf()
+        elif tok == ")" and open_nodes:
+            label, children = open_nodes.pop()
+            done = Node(label, tuple(children))
+        else:
+            raise ValueError(f"expected '(' or '.', got {tok!r}")
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(done)
+    if i < len(tokens):
+        raise ValueError(f"trailing content after tree: {' '.join(tokens[i:])}")
+    check_tree(done)
+    return done
 
 
 def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    cur = ""
-    for ch in text:
-        if ch in "().":
-            if cur:
-                out.append(cur)
-                cur = ""
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append(cur)
-                cur = ""
-        elif ch.isdigit():
-            cur += ch
-        else:
-            raise ValueError(f"unexpected character {ch!r} in tree text")
-    if cur:
-        out.append(cur)
-    return out
-
-
-def _parse_node(tokens: list[str]) -> tuple[GenTree, list[str]]:
-    if not tokens:
-        raise ValueError("unexpected end of tree text")
-    head, rest = tokens[0], tokens[1:]
-    if head == ".":
-        return Leaf(), rest
-    if head != "(":
-        raise ValueError(f"expected '(' or '.', got {head!r}")
-    label_toks = []
-    while rest and rest[0] not in "().":
-        label_toks.append(rest[0])
-        rest = rest[1:]
-    if not label_toks:
-        raise ValueError("node is missing its label")
-    label = Permutation.parse(" ".join(label_toks))
-    children: list[GenTree] = []
-    while True:
-        if not rest:
-            raise ValueError("unterminated node: missing ')'")
-        if rest[0] == ")":
-            rest = rest[1:]
-            break
-        child, rest = _parse_node(rest)
-        children.append(child)
-    node = Node(label, tuple(children))
-    return node, rest
+    tokens = re.findall(r"\d+|\S", text)
+    bad = next((tok for tok in tokens if not (tok.isdigit() or tok in "().")), None)
+    if bad is not None:
+        raise ValueError(f"unexpected character {bad!r} in tree text")
+    return tokens

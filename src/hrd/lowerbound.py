@@ -78,15 +78,15 @@ def insertion_traces(
     if n < k:
         raise ValueError(f"target length {n} is below the seed length {k}")
 
-    def walk(cur: Permutation, choices: tuple[int, ...]) -> Iterator[InsertionTrace]:
+    stack: list[tuple[Permutation, tuple[int, ...]]] = [(seed, ())]
+    while stack:
+        cur, choices = stack.pop()
         if len(cur) == n:
             yield InsertionTrace(seed, choices, cur)
-            return
+            continue
         sites = safe_sites(cur) if all_sites else _canonical_sites(cur)
-        for site in sites:
-            yield from walk(insert_max(cur, site), choices + (site,))
-
-    yield from walk(seed, ())
+        # pushed in reverse, so the smallest site is grown first
+        stack.extend((insert_max(cur, site), choices + (site,)) for site in reversed(sites))
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,28 @@ class TestFloorplanOfTree:
                 assert fp2bp(f) == perm_of_tree(t)
 
 
+class TestDeepTrees:
+    def test_slicing_chain_past_the_recursion_limit(self):
+        # 1100 nested cuts alternating 12 and 21 on the last child; the
+        # permutation is built bottom-up: 12[1, q] = 1 (q+1), 21[1, q] = (|q|+1) q
+        depth = 1100
+        t: Leaf | Node = Leaf()
+        vals: tuple[int, ...] = (1,)
+        for level in range(depth):
+            label = P("12") if level % 2 else P("21")
+            t = Node(label, (Leaf(), t))
+            vals = (1,) + tuple(v + 1 for v in vals) if label == P("12") else (len(vals) + 1,) + vals
+        p = Permutation(vals)
+        assert leaf_count(t) == depth + 1
+        check_tree(t, 2)
+        assert perm_of_tree(t) == p
+        # trees are compared through their text: dataclass equality recurses
+        text = format_tree(t)
+        assert format_tree(parse_tree(text)) == text
+        assert format_tree(tree_of_perm(p, 2)) == text
+        assert fp2bp(floorplan_of_tree(t)) == p
+
+
 class TestEnumerateTrees:
     def test_counts(self):
         assert sum(1 for _ in enumerate_trees(2, 3)) == 6

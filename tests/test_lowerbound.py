@@ -77,6 +77,12 @@ class TestInsertionFamily:
             assert len(t.current) == 7
             assert len(t.choices) == 2
 
+    def test_first_trace_past_the_recursion_limit(self):
+        # 1100 insertions deep; the first trace always inserts before the first element
+        trace = next(insertion_traces(5, 1105, P("41352")))
+        assert trace.choices == (0,) * 1100
+        assert trace.current == Permutation(tuple(range(1105, 5, -1)) + (4, 1, 3, 5, 2))
+
     def test_every_intermediate_step_stays_in_order(self):
         for trace in insertion_traces(5, 8, P("41352")):
             cur = trace.seed
