@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
 validation error, 3 infeasible argument (the ``census`` scan cap exceeded
-without --force).  Integers are printed and read whatever their length
-(see ``counting.unlimited_int_text``).
+without --force, or a ``lowerbound`` family over its cap).  Integers are
+printed and read whatever their length (see ``counting.unlimited_int_text``).
 """
 
 from __future__ import annotations
@@ -111,6 +111,12 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
+    cap = counting._LOWERBOUND_CAP
+    per_room, added = (4 if args.all_sites else 3), args.n - args.k
+    # per_room >= 2, so the clipped exponent, the cap's bit length, is
+    # already over the cap; clipping keeps the power small for any --n
+    if per_room ** min(added, cap.bit_length()) > cap:
+        raise counting.CapExceeded(f"a family of up to {per_room}^{added} traces exceeds the cap {cap}")
     if args.seed is not None:
         seed = Permutation.parse(args.seed)
     elif args.k <= counting.DEFAULT_CENSUS_CAP:

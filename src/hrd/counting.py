@@ -28,19 +28,14 @@ The s_l come from the Baxter numbers, not from a scan of S_l: with no order
 bound every Baxter permutation is an HRD, so the Baxter series B satisfies
 the same equation, B = x + 2B^2/(1+B) + S(B), and reverting B gives S
 (``skeleton_counts``).  The exhaustive ``census_simple_baxter`` lists the
-skeletons themselves and serves the tests as an independent check.
+skeletons themselves.
 
-``count_hrd_fast`` is the production route: it grows each power column by
-one incremental convolution per term, O(k n^2) in all.  Three reference
-routes are kept for the cross-checks: the order-5 recurrence spelled out
-with literal nested composition loops (``count_hrd_literal``), the same
-equation for any k with direct composition sums (``count_hrd``), and an
-exhaustive scan of S_n (``oracle_count``).
+``count_hrd_fast`` is the one counting route: it grows each power column
+by one incremental convolution per term, O(k n^2) in all.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 import zlib
@@ -52,11 +47,12 @@ from math import comb
 from pathlib import Path
 from types import MappingProxyType
 
-from .gentree import hierarchy_order
-from .perm import Permutation, _is_baxter_seq, simple_baxter_perms
+from .perm import Permutation, simple_baxter_perms
 
 DEFAULT_CENSUS_CAP = 10
-DEFAULT_ORACLE_CAP = 9
+# traces of a ``lowerbound`` family; 3**10 of them take about as long as
+# the census of length 10
+_LOWERBOUND_CAP = 3**10
 
 _MEMO_ENV = "HRD_MEMO_DIR"
 _TABLE_VERSION = "hrd-count-table v2"
@@ -120,71 +116,11 @@ def skeleton_counts(k: int) -> Mapping[int, int]:
     return MappingProxyType(out)
 
 
-def count_hrd_literal(n: int) -> int:
-    """The order-5 count t_n, evaluated exactly as the recurrence is written:
-
-        t_n = t_{n-1} + sum t_i t_{n-i}
-              + 2 * sum over 6-part compositions of n of the t-products
-              + 2 * sum over 5-part compositions of n of the t-products
-
-    using direct nested summation over the compositions.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = [0] * (n + 1)
-    t[1] = 1
-    for m in range(2, n + 1):
-        x = 0
-        for i in range(1, m):
-            x += t[i] * t[m - i]
-        y = 0  # five-part compositions
-        for i in range(1, m - 3):
-            for j in range(1, m - i - 2):
-                for kk in range(1, m - i - j - 1):
-                    for l in range(1, m - i - j - kk):
-                        y += t[i] * t[j] * t[kk] * t[l] * t[m - i - j - kk - l]
-        z = 0  # six-part compositions
-        for h in range(1, m - 4):
-            for i in range(1, m - h - 3):
-                for j in range(1, m - h - i - 2):
-                    for kk in range(1, m - h - i - j - 1):
-                        for l in range(1, m - h - i - j - kk):
-                            z += t[h] * t[i] * t[j] * t[kk] * t[l] * t[m - h - i - j - kk - l]
-        t[m] = t[m - 1] + x + 2 * z + 2 * y
-    return t[n]
-
-
-def _composition_sum(t: list[int], m: int, parts: int) -> int:
-    """Sum of t-products over ordered compositions of m into ``parts``
-    positive parts, by direct recursion (no memoization)."""
-    if parts == 1:
-        return t[m] if 1 <= m < len(t) else 0
-    total = 0
-    for first in range(1, m - parts + 2):
-        total += t[first] * _composition_sum(t, m - first, parts - 1)
-    return total
-
-
 def _check_order_and_size(k: int, n: int) -> None:
     if k < 2:
         raise ValueError("order k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-
-
-def count_hrd(k: int, n: int) -> int:
-    """t_n for any order k, by the paper's recurrence with direct
-    composition sums."""
-    _check_order_and_size(k, n)
-    s = skeleton_counts(min(k, n))
-    t = [0] * (n + 1)
-    t[1] = 1
-    for m in range(2, n + 1):
-        skel = 0
-        for length, mult in s.items():
-            skel += mult * (_composition_sum(t, m, length) + _composition_sum(t, m, length + 1))
-        t[m] = t[m - 1] + _composition_sum(t, m, 2) + skel
-    return t[n]
 
 
 @dataclass
@@ -203,7 +139,7 @@ class CountTable:
 
 
 def count_hrd_fast(k: int, n_max: int) -> CountTable:
-    """The same t values as ``count_hrd`` in O(k * n_max^2) arithmetic ops.
+    """t_1..t_{n_max} for order k in O(k * n_max^2) arithmetic ops.
 
     P_j = T^j is grown incrementally as the convolution of P_{j-1} with t;
     every term it needs is available because a j-part composition of m only
@@ -228,30 +164,6 @@ def count_hrd_fast(k: int, n_max: int) -> CountTable:
 def sequence(k: int, n_max: int) -> list[int]:
     """[t_1, ..., t_{n_max}] for order k."""
     return count_hrd_fast(k, n_max).counts()
-
-
-@lru_cache(maxsize=None)
-def _order_histogram(n: int) -> tuple[tuple[int, int], ...]:
-    """(hierarchy order, count) pairs over all Baxter permutations of S_n."""
-    hist: dict[int, int] = {}
-    for tup in itertools.permutations(range(1, n + 1)):
-        if not _is_baxter_seq(tup):
-            continue
-        o = hierarchy_order(Permutation(tup))
-        hist[o] = hist.get(o, 0) + 1
-    return tuple(sorted(hist.items()))
-
-
-def oracle_count(k: int, n: int, *, cap: int = DEFAULT_ORACLE_CAP, force: bool = False) -> int:
-    """|{p in S_n : is_hrd(p, k)}| by exhaustive scan.
-
-    Uses only the permutation and tree predicates; shares nothing with the
-    recurrence evaluations above.
-    """
-    _check_order_and_size(k, n)
-    if n > cap and not force:
-        raise CapExceeded(f"oracle scan of S_{n} exceeds the cap {cap}; pass force to override")
-    return sum(count for order, count in _order_histogram(n) if order <= k)
 
 
 @contextmanager

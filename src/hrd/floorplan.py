@@ -5,8 +5,8 @@ The origin sits at the top-left corner and y grows downward.  Only the wall
 topology of a floorplan matters: corner deletions run on the coordinates
 they are given, and ``canonical``, ``reflect``, ``bp2fp`` and
 ``delete_corner`` return coordinates ranked to the distinct wall positions.
-Two floorplans are equivalent exactly when their deletion-order label
-permutations agree, which is how ``equivalent`` decides.
+Two floorplans have the same wall topology exactly when their deletion-order
+label permutations (``fp2bp``) agree.
 
 Corner deletion slides one edge of the corner room until it hits the
 bounding rectangle, dragging the attached T-junctions along.  Labeling rooms
@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .perm import Permutation, is_baxter
 
@@ -299,36 +299,6 @@ def fp2bp(f: MosaicFloorplan) -> Permutation:
     return Permutation(tuple(labels[rid] for rid in _top_left_order(f.width, f.height, mirror)))
 
 
-def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> MosaicFloorplan:
-    """Insert a room at the top-left corner of a canonical floorplan.
-
-    ``side="top"`` pushes the first j top-boundary rooms down onto a fresh
-    horizontal line; ``side="left"`` pushes the first j left-boundary rooms
-    right onto a fresh vertical line.  Doubling the coordinates first leaves
-    odd ranks free for the fresh line, and canonicalization compresses them
-    away again, so one insertion costs O(n log n).  ``enumerate_floorplans``
-    is built on it; ``bp2fp`` places its rooms without it.
-    """
-    entries = []
-    if side == "top":
-        tops = sorted((r for r in g.rooms if r.y1 == 0), key=lambda r: r.x1)
-        covered = {r.id for r in tops[:j]}
-        x_star = tops[j - 1].x2
-        for r in g.rooms:
-            y1 = 1 if r.id in covered else 2 * r.y1
-            entries.append((r.id, r.x1, y1, r.x2, 2 * r.y2))
-        entries.append((new_id, 0, 0, x_star, 1))
-    else:
-        lefts = sorted((r for r in g.rooms if r.x1 == 0), key=lambda r: r.y1)
-        covered = {r.id for r in lefts[:j]}
-        y_star = lefts[j - 1].y2
-        for r in g.rooms:
-            x1 = 1 if r.id in covered else 2 * r.x1
-            entries.append((r.id, x1, r.y1, 2 * r.x2, r.y2))
-        entries.append((new_id, 0, 0, 1, y_star))
-    return _canonical_from_entries(entries)
-
-
 def bp2fp(p: Permutation) -> MosaicFloorplan:
     """The mosaic floorplan whose label permutation is ``p``.
 
@@ -406,137 +376,6 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
     return _canonical_from_entries((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
 
 
-def enumerate_floorplans(n: int) -> Iterator[MosaicFloorplan]:
-    """Every mosaic floorplan with n rooms exactly once.
-
-    Generated bottom-up by top-left insertions; each floorplan arises from
-    exactly one (smaller floorplan, insertion) pair, so no deduplication is
-    needed.  Geometry only; labels are not assigned.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        yield single_room()
-        return
-    for g in enumerate_floorplans(n - 1):
-        s = sum(1 for r in g.rooms if r.x1 == 0)
-        t = sum(1 for r in g.rooms if r.y1 == 0)
-        for j in range(1, s + 1):
-            yield _insert_top_left(g, "left", j, n)
-        for j in range(1, t + 1):
-            yield _insert_top_left(g, "top", j, n)
-
-
-class Segment(NamedTuple):
-    """Maximal wall segment on the canonical grid."""
-
-    orientation: str  # "h" or "v"
-    level: int  # y for horizontal segments, x for vertical ones
-    start: int
-    end: int
-
-
-class SegRoomRelation(NamedTuple):
-    segment: Segment
-    room: int  # top-left deletion label
-    side: str  # one of "top", "left", "right", "bottom"
-
-
-def _wall_segments(g: MosaicFloorplan) -> list[Segment]:
-    grid = _grid(g)
-    segs: list[Segment] = []
-    for y in range(g.height + 1):
-        run_start = None
-        for x in range(g.width + 1):
-            wall = x < g.width and (
-                y == 0 or y == g.height or grid[y - 1][x] != grid[y][x]
-            )
-            if wall and run_start is None:
-                run_start = x
-            elif not wall and run_start is not None:
-                segs.append(Segment("h", y, run_start, x))
-                run_start = None
-    for x in range(g.width + 1):
-        run_start = None
-        for y in range(g.height + 1):
-            wall = y < g.height and (
-                x == 0 or x == g.width or grid[y][x - 1] != grid[y][x]
-            )
-            if wall and run_start is None:
-                run_start = y
-            elif not wall and run_start is not None:
-                segs.append(Segment("v", x, run_start, y))
-                run_start = None
-    return segs
-
-
-def seg_room_relations(f: MosaicFloorplan) -> list[SegRoomRelation]:
-    """All (maximal segment, room, side) incidences, canonically ordered.
-
-    Segments are sorted by geometry and rooms are identified by their
-    top-left deletion label, so relabelling or re-spacing a floorplan does
-    not change the relation set.
-    """
-    _require_valid(f)
-    g = canonical(f)
-    labels = _deletion_labels(g)
-    segs = _wall_segments(g)
-
-    def containing(orientation: str, level: int, lo: int, hi: int) -> Segment:
-        for s in segs:
-            if s.orientation == orientation and s.level == level and s.start <= lo and hi <= s.end:
-                return s
-        raise AssertionError("room edge not covered by any wall segment")
-
-    rels = []
-    for r in g.rooms:
-        lab = labels[r.id]
-        rels.append(SegRoomRelation(containing("h", r.y1, r.x1, r.x2), lab, "top"))
-        rels.append(SegRoomRelation(containing("h", r.y2, r.x1, r.x2), lab, "bottom"))
-        rels.append(SegRoomRelation(containing("v", r.x1, r.y1, r.y2), lab, "left"))
-        rels.append(SegRoomRelation(containing("v", r.x2, r.y1, r.y2), lab, "right"))
-    rels.sort(key=lambda rel: (rel.segment, rel.room, rel.side))
-    return rels
-
-
-def equivalent(f1: MosaicFloorplan, f2: MosaicFloorplan) -> bool:
-    """Seg-room equivalence, decided through the label permutations.
-
-    The deletion-order bijection separates exactly the distinct floorplans,
-    so comparing ``fp2bp`` images avoids an isomorphism search.
-    """
-    return fp2bp(f1) == fp2bp(f2)
-
-
-def enveloping_rectangles(f: MosaicFloorplan) -> set[frozenset[int]]:
-    """Label sets of all rectangles that are unions of rooms.
-
-    Labels are the top-left deletion labels; singletons and the full
-    bounding rectangle are included.
-    """
-    _require_valid(f)
-    g = canonical(f)
-    labels = _deletion_labels(g)
-    out: set[frozenset[int]] = set()
-    for x1 in range(g.width):
-        for x2 in range(x1 + 1, g.width + 1):
-            for y1 in range(g.height):
-                for y2 in range(y1 + 1, g.height + 1):
-                    inside: list[int] = []
-                    exact = True
-                    for r in g.rooms:
-                        if r.x2 <= x1 or r.x1 >= x2 or r.y2 <= y1 or r.y1 >= y2:
-                            continue
-                        if x1 <= r.x1 and r.x2 <= x2 and y1 <= r.y1 and r.y2 <= y2:
-                            inside.append(labels[r.id])
-                        else:
-                            exact = False
-                            break
-                    if exact and inside:
-                        out.add(frozenset(inside))
-    return out
-
-
 class FloorplanFormatError(ValueError):
     """Parse failure carrying the offending line number."""
 
@@ -591,9 +430,11 @@ def format_floorplan(f: MosaicFloorplan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(f: MosaicFloorplan, *, cell_width: int = 6, cell_height: int = 2) -> str:
-    """ASCII drawing on the canonical grid, room ids at rectangle centers."""
+def render(f: MosaicFloorplan) -> str:
+    """ASCII drawing on the canonical grid, room ids at rectangle centers;
+    a grid cell is 6 characters wide and 2 lines high."""
     _require_valid(f)
+    cell_width, cell_height = 6, 2
     g = canonical(f)
     grid = _grid(g)
     W, H = g.width, g.height

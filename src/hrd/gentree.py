@@ -8,20 +8,18 @@ first-child slot of a node labeled 12 (resp. 21) may not itself be labeled
 12 (resp. 21).  With that rule the tree for a permutation is unique and is
 exactly its recursive canonical decomposition.
 
-The tree functions share one iterative post-order fold (``_fold``), and
-checking and parsing are loops, so none recurses on an input's nesting depth.
+The tree functions share one iterative post-order fold (``_fold``), node
+equality, hashing and repr go through the text form it builds, and checking
+and parsing are loops, so none recurses on an input's nesting depth.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, TypeVar, Union
 
-from .floorplan import MosaicFloorplan, _canonical_from_entries, bp2fp, single_room
-from .perm import Decomposition, Permutation, decompose, inflate, is_baxter, is_simple, simple_baxter_perms
+from .perm import Decomposition, Permutation, decompose, inflate, is_baxter, is_simple
 
 _P1 = Permutation.of(1)
 _P12 = Permutation.of(1, 2)
@@ -30,15 +28,28 @@ _P21 = Permutation.of(2, 1)
 
 @dataclass(frozen=True)
 class Leaf:
-    """A basic room; carries its deletion-order label when one is known."""
-
-    label: int | None = None
+    """A basic room."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
+    """An internal node.  Equality, hashing and repr go through the text
+    form, which is injective and built without recursion; the generated
+    dataclass methods would recurse on the tree's depth."""
+
     label: Permutation
     children: tuple["GenTree", ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        return format_tree(self) == format_tree(other)
+
+    def __hash__(self) -> int:
+        return hash(format_tree(self))
+
+    def __repr__(self) -> str:
+        return f"Node({format_tree(self)})"
 
 
 GenTree = Union[Leaf, Node]
@@ -152,92 +163,6 @@ def hierarchy_order(p: Permutation) -> int:
     if not is_baxter(p):
         raise ValueError("hierarchy order is defined for Baxter permutations")
     return max((len(d.skeleton) for d in _decompositions(p)), default=1)
-
-
-def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
-    """Realize a tree geometrically by embedding, children before parents.
-
-    The base floorplan of a node is built from its label; the child at
-    position i (whose values form value block sigma[i]) is embedded into the
-    base room labeled sigma[i].  Embedded walls are placed on grid lines
-    that are fresh for the whole arrangement (each child draws from its own
-    disjoint offset block), so no accidental collinearity can produce a '+'
-    junction.  The result is rank-canonical with fresh room ids.
-    """
-
-    def embed(node: Node, kids: list[MosaicFloorplan]) -> MosaicFloorplan:
-        base = bp2fp(node.label)
-        # scale the base grid so each room can host its child's interior
-        # lines on globally unused coordinates
-        kx = sum(c.width - 1 for c in kids) + 1
-        ky = sum(c.height - 1 for c in kids) + 1
-        off_x = off_y = 0
-        ids = itertools.count(1)
-        entries: list[tuple] = []
-        for pos, child in enumerate(kids):
-            room = base.room(node.label.values[pos])
-
-            def map_x(cx: int, room=room, child=child, off=off_x) -> int:
-                if cx == 0:
-                    return room.x1 * kx
-                if cx == child.width:
-                    return room.x2 * kx
-                return room.x1 * kx + off + cx
-
-            def map_y(cy: int, room=room, child=child, off=off_y) -> int:
-                if cy == 0:
-                    return room.y1 * ky
-                if cy == child.height:
-                    return room.y2 * ky
-                return room.y1 * ky + off + cy
-
-            for cr in child.rooms:
-                entries.append((next(ids), map_x(cr.x1), map_y(cr.y1), map_x(cr.x2), map_y(cr.y2)))
-            off_x += child.width - 1
-            off_y += child.height - 1
-        return _canonical_from_entries(entries)
-
-    return _fold(t, single_room(), embed)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of ``total`` into ``parts`` positive parts, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def _trees(k: int, n: int) -> tuple[GenTree, ...]:
-    if n == 1:
-        return (Leaf(),)
-    out: list[GenTree] = []
-    for length in range(2, min(k, n) + 1):
-        for label in simple_baxter_perms(length):
-            restricted = label if label in (_P12, _P21) else None
-            for comp in _compositions(n, length):
-                for kids in itertools.product(*(_trees(k, m) for m in comp)):
-                    first = kids[0]
-                    if restricted is not None and isinstance(first, Node) and first.label == restricted:
-                        continue
-                    out.append(Node(label, kids))
-    return tuple(out)
-
-
-def enumerate_trees(k: int, n: int) -> Iterator[GenTree]:
-    """Every skewed generating tree of order k with n leaves, exactly once.
-
-    Deterministic order: label length, then label lexicographically, then
-    leaf-count composition, then child tuples.
-    """
-    if k < 2:
-        raise ValueError("order k must be >= 2")
-    if n < 1:
-        raise ValueError("leaf count must be >= 1")
-    yield from _trees(k, n)
 
 
 def format_tree(t: GenTree) -> str:

@@ -108,9 +108,9 @@ def insertion_family(
     seed: Permutation,
     *,
     all_sites: bool = False,
-    sample_count: int = 3,
 ) -> FamilyReport:
-    """Enumerate the family and verify every member by the predicates."""
+    """Enumerate the family and verify every member by the predicates; the
+    report keeps the first three distinct members as samples."""
     finals: list[Permutation] = []
     seen: set[tuple[int, ...]] = set()
     all_baxter = all_hrd_k = none_below = True
@@ -137,7 +137,7 @@ def insertion_family(
         all_baxter=all_baxter,
         all_hrd_k=all_hrd_k,
         none_hrd_below=none_below,
-        samples=tuple(finals[:sample_count]),
+        samples=tuple(finals[:3]),
     )
 
 

@@ -1,5 +1,5 @@
-"""Permutation algebra: pattern containment, Baxter and simple predicates,
-blocks, inflation, and the canonical substitution decomposition.
+"""Permutation algebra: Baxter and simple predicates, inflation, and the
+canonical substitution decomposition.
 
 Positions and values are one-indexed throughout.  A permutation of length n
 is a bijection on {1..n} kept in one-line notation, so ``41352`` sends
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,6 @@ class Permutation:
         return f"Permutation({' '.join(str(v) for v in self.values)})"
 
 
-class Block(NamedTuple):
-    """Positions start..end (inclusive, one-indexed) whose values form a
-    consecutive integer range."""
-
-    start: int
-    end: int
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Canonical substitution decomposition p = skeleton[child_1, ..., child_m].
@@ -104,35 +96,6 @@ class Decomposition:
 
     skeleton: Permutation
     children: tuple[Permutation, ...]
-
-
-class Symmetries(NamedTuple):
-    reverse: Permutation
-    complement: Permutation
-    inverse: Permutation
-
-
-def contains_pattern(text: Permutation, pattern: Permutation) -> bool:
-    """True iff some subsequence of ``text`` is order-isomorphic to ``pattern``."""
-    if len(pattern) > len(text):
-        raise ValueError("pattern longer than text")
-    t, s = text.values, pattern.values
-
-    def extend(start: int, chosen: list[int]) -> bool:
-        k = len(chosen)
-        if k == len(s):
-            return True
-        # leave enough room for the remaining pattern entries
-        for i in range(start, len(t) - (len(s) - k) + 1):
-            v = t[i]
-            if all((v > w) == (s[k] > s[j]) for j, w in enumerate(chosen)):
-                chosen.append(v)
-                if extend(i + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, [])
 
 
 def _is_baxter_seq(vals: tuple[int, ...]) -> bool:
@@ -169,29 +132,6 @@ def is_baxter(p: Permutation) -> bool:
     return _is_baxter_seq(p.values)
 
 
-def blocks(p: Permutation) -> list[Block]:
-    """All blocks, trivial ones included, sorted by (start, end).
-
-    A segment of positions is a block exactly when max - min of its values
-    equals its length - 1.
-    """
-    vals = p.values
-    n = len(vals)
-    out: list[Block] = []
-    for i in range(n):
-        mn = mx = vals[i]
-        out.append(Block(i + 1, i + 1))
-        for j in range(i + 1, n):
-            v = vals[j]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if mx - mn == j - i:
-                out.append(Block(i + 1, j + 1))
-    return out
-
-
 def _is_simple_seq(vals: tuple[int, ...]) -> bool:
     n = len(vals)
     if n <= 2:
@@ -216,18 +156,6 @@ def is_simple(p: Permutation) -> bool:
     By this reading 1, 12 and 21 are simple.
     """
     return _is_simple_seq(p.values)
-
-
-def one_point_delete(p: Permutation, i: int) -> Permutation:
-    """Remove the element at position ``i`` and rank-order the rest."""
-    n = len(p)
-    if n < 2:
-        raise ValueError("cannot delete from a singleton")
-    if not 1 <= i <= n:
-        raise IndexError(f"position {i} out of range 1..{n}")
-    removed = p.values[i - 1]
-    rest = (v - 1 if v > removed else v for k, v in enumerate(p.values) if k != i - 1)
-    return Permutation(tuple(rest))
 
 
 def inflate(skeleton: Permutation, children: list[Permutation] | tuple[Permutation, ...]) -> Permutation:
@@ -312,17 +240,6 @@ def decompose(p: Permutation) -> Decomposition:
     skeleton = Permutation(_rank_seq(mins))
     children = tuple(Permutation(_rank_seq(vals[a : b + 1])) for a, b in bounds)
     return Decomposition(skeleton, children)
-
-
-def symmetries(p: Permutation) -> Symmetries:
-    """Reverse, complement and inverse images."""
-    n = len(p)
-    rev = tuple(reversed(p.values))
-    comp = tuple(n + 1 - v for v in p.values)
-    inv = [0] * n
-    for i, v in enumerate(p.values):
-        inv[v - 1] = i + 1
-    return Symmetries(Permutation(rev), Permutation(comp), Permutation(tuple(inv)))
 
 
 @lru_cache(maxsize=None)

@@ -1,16 +1,54 @@
-"""Independent reference implementations used only by the tests.
+"""Reference implementations and exhaustive enumerations used only by the
+tests.  Each answers a question a production route answers, by another
+method; what each takes from the library:
 
-These deliberately share no code with the production routes they check.
-The reference ``bp2fp`` inserts through ``hrd.floorplan._insert_top_left``,
-which the production ``bp2fp`` does not call, and the reference
-``diagnose`` rank-compresses through ``hrd.floorplan.canonical``, which the
-production ``diagnose`` does not call.
+- ``baxter_quadruple_scan``, ``contains_pattern_bruteforce``,
+  ``blocks_bruteforce``, ``inflate_bruteforce`` and ``symmetries`` work
+  on the values alone and share no code with ``hrd.perm``.
+- ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
+  ``_insert_top_left`` below, which rank-compresses through
+  ``hrd.floorplan._canonical_from_entries``; the production ``bp2fp``
+  places its rooms on two boundary stacks instead.
+- ``delete_top_left_by_scan``, ``deletion_labels_by_scan`` and
+  ``fp2bp_by_scan`` scan every room per deletion and use no library code.
+- ``diagnose_by_grid`` fills the cell grid of ``hrd.floorplan.canonical``,
+  which the production ``diagnose`` does not call.
+- ``seg_room_relations`` and ``enveloping_rectangles`` validate with
+  ``hrd.floorplan._require_valid``, scan the cell grid of ``canonical`` and
+  ``_grid``, and name rooms by ``_deletion_labels``, the labels ``fp2bp``
+  assigns.
+- ``floorplan_of_tree`` folds a tree with ``hrd.gentree._fold``, draws each
+  node's label with the production ``bp2fp`` and embeds the children
+  through ``_canonical_from_entries``.  ``enumerate_trees`` takes its labels
+  from ``hrd.perm.simple_baxter_perms`` and builds every tree bottom-up.
+- ``count_hrd_literal`` uses no library code; ``count_hrd`` takes the s_l
+  from ``hrd.counting.skeleton_counts``, as ``count_hrd_fast`` does, but
+  sums every composition directly; ``oracle_count`` scans S_n with
+  ``hrd.perm._is_baxter_seq`` and ``hrd.gentree.hierarchy_order`` and shares
+  nothing with the recurrence.
 """
 
-from dataclasses import replace
-from itertools import combinations
+from __future__ import annotations
 
-from hrd.floorplan import MosaicFloorplan, Room, _insert_top_left, canonical
+import itertools
+from dataclasses import replace
+from functools import lru_cache
+from typing import Iterator, NamedTuple
+
+from hrd.counting import _check_order_and_size, skeleton_counts
+from hrd.floorplan import (
+    MosaicFloorplan,
+    Room,
+    _canonical_from_entries,
+    _deletion_labels,
+    _grid,
+    _require_valid,
+    bp2fp,
+    canonical,
+    single_room,
+)
+from hrd.gentree import _P12, _P21, GenTree, Leaf, Node, _fold, hierarchy_order
+from hrd.perm import Permutation, _is_baxter_seq, simple_baxter_perms
 
 
 def baxter_quadruple_scan(values) -> bool:
@@ -38,7 +76,7 @@ def contains_pattern_bruteforce(text, pattern) -> bool:
     """Check every index subset of the text."""
     k = len(pattern)
     target = _pattern_of(pattern)
-    for idxs in combinations(range(len(text)), k):
+    for idxs in itertools.combinations(range(len(text)), k):
         if _pattern_of([text[i] for i in idxs]) == target:
             return True
     return False
@@ -72,6 +110,53 @@ def inflate_bruteforce(skeleton, children):
         ordered = sorted(range(lo, lo + len(child)))
         out.extend(ordered[cv - 1] for cv in child)
     return tuple(out)
+
+
+class Symmetries(NamedTuple):
+    reverse: Permutation
+    complement: Permutation
+    inverse: Permutation
+
+
+def symmetries(p: Permutation) -> Symmetries:
+    """Reverse, complement and inverse images."""
+    n = len(p)
+    rev = tuple(reversed(p.values))
+    comp = tuple(n + 1 - v for v in p.values)
+    inv = [0] * n
+    for i, v in enumerate(p.values):
+        inv[v - 1] = i + 1
+    return Symmetries(Permutation(rev), Permutation(comp), Permutation(tuple(inv)))
+
+
+def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> MosaicFloorplan:
+    """Insert a room at the top-left corner of a canonical floorplan.
+
+    ``side="top"`` pushes the first j top-boundary rooms down onto a fresh
+    horizontal line; ``side="left"`` pushes the first j left-boundary rooms
+    right onto a fresh vertical line.  Doubling the coordinates first leaves
+    odd ranks free for the fresh line, and canonicalization compresses them
+    away again, so one insertion costs O(n log n).  ``enumerate_floorplans``
+    and ``bp2fp_by_reinsertion`` are built on it.
+    """
+    entries = []
+    if side == "top":
+        tops = sorted((r for r in g.rooms if r.y1 == 0), key=lambda r: r.x1)
+        covered = {r.id for r in tops[:j]}
+        x_star = tops[j - 1].x2
+        for r in g.rooms:
+            y1 = 1 if r.id in covered else 2 * r.y1
+            entries.append((r.id, r.x1, y1, r.x2, 2 * r.y2))
+        entries.append((new_id, 0, 0, x_star, 1))
+    else:
+        lefts = sorted((r for r in g.rooms if r.x1 == 0), key=lambda r: r.y1)
+        covered = {r.id for r in lefts[:j]}
+        y_star = lefts[j - 1].y2
+        for r in g.rooms:
+            x1 = 1 if r.id in covered else 2 * r.x1
+            entries.append((r.id, x1, r.y1, 2 * r.x2, r.y2))
+        entries.append((new_id, 0, 0, 1, y_star))
+    return _canonical_from_entries(entries)
 
 
 def bp2fp_by_reinsertion(p):
@@ -198,3 +283,293 @@ def diagnose_by_grid(f: MosaicFloorplan) -> list[str]:
             if nw != ne and sw != se and nw != sw and ne != se:
                 msgs.append(f"'+' junction at grid point ({x},{y})")
     return msgs
+
+
+def enumerate_floorplans(n: int) -> Iterator[MosaicFloorplan]:
+    """Every mosaic floorplan with n rooms exactly once.
+
+    Generated bottom-up by top-left insertions; each floorplan arises from
+    exactly one (smaller floorplan, insertion) pair, so no deduplication is
+    needed.  Geometry only; labels are not assigned.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        yield single_room()
+        return
+    for g in enumerate_floorplans(n - 1):
+        s = sum(1 for r in g.rooms if r.x1 == 0)
+        t = sum(1 for r in g.rooms if r.y1 == 0)
+        for j in range(1, s + 1):
+            yield _insert_top_left(g, "left", j, n)
+        for j in range(1, t + 1):
+            yield _insert_top_left(g, "top", j, n)
+
+
+class Segment(NamedTuple):
+    """Maximal wall segment on the canonical grid."""
+
+    orientation: str  # "h" or "v"
+    level: int  # y for horizontal segments, x for vertical ones
+    start: int
+    end: int
+
+
+class SegRoomRelation(NamedTuple):
+    segment: Segment
+    room: int  # top-left deletion label
+    side: str  # one of "top", "left", "right", "bottom"
+
+
+def _wall_segments(g: MosaicFloorplan) -> list[Segment]:
+    grid = _grid(g)
+    segs: list[Segment] = []
+    for y in range(g.height + 1):
+        run_start = None
+        for x in range(g.width + 1):
+            wall = x < g.width and (
+                y == 0 or y == g.height or grid[y - 1][x] != grid[y][x]
+            )
+            if wall and run_start is None:
+                run_start = x
+            elif not wall and run_start is not None:
+                segs.append(Segment("h", y, run_start, x))
+                run_start = None
+    for x in range(g.width + 1):
+        run_start = None
+        for y in range(g.height + 1):
+            wall = y < g.height and (
+                x == 0 or x == g.width or grid[y][x - 1] != grid[y][x]
+            )
+            if wall and run_start is None:
+                run_start = y
+            elif not wall and run_start is not None:
+                segs.append(Segment("v", x, run_start, y))
+                run_start = None
+    return segs
+
+
+def seg_room_relations(f: MosaicFloorplan) -> list[SegRoomRelation]:
+    """All (maximal segment, room, side) incidences, canonically ordered.
+
+    Segments are sorted by geometry and rooms are identified by their
+    top-left deletion label, so relabelling or re-spacing a floorplan does
+    not change the relation set.
+    """
+    _require_valid(f)
+    g = canonical(f)
+    labels = _deletion_labels(g)
+    segs = _wall_segments(g)
+
+    def containing(orientation: str, level: int, lo: int, hi: int) -> Segment:
+        for s in segs:
+            if s.orientation == orientation and s.level == level and s.start <= lo and hi <= s.end:
+                return s
+        raise AssertionError("room edge not covered by any wall segment")
+
+    rels = []
+    for r in g.rooms:
+        lab = labels[r.id]
+        rels.append(SegRoomRelation(containing("h", r.y1, r.x1, r.x2), lab, "top"))
+        rels.append(SegRoomRelation(containing("h", r.y2, r.x1, r.x2), lab, "bottom"))
+        rels.append(SegRoomRelation(containing("v", r.x1, r.y1, r.y2), lab, "left"))
+        rels.append(SegRoomRelation(containing("v", r.x2, r.y1, r.y2), lab, "right"))
+    rels.sort(key=lambda rel: (rel.segment, rel.room, rel.side))
+    return rels
+
+
+def enveloping_rectangles(f: MosaicFloorplan) -> set[frozenset[int]]:
+    """Label sets of all rectangles that are unions of rooms.
+
+    Labels are the top-left deletion labels; singletons and the full
+    bounding rectangle are included.
+    """
+    _require_valid(f)
+    g = canonical(f)
+    labels = _deletion_labels(g)
+    out: set[frozenset[int]] = set()
+    for x1 in range(g.width):
+        for x2 in range(x1 + 1, g.width + 1):
+            for y1 in range(g.height):
+                for y2 in range(y1 + 1, g.height + 1):
+                    inside: list[int] = []
+                    exact = True
+                    for r in g.rooms:
+                        if r.x2 <= x1 or r.x1 >= x2 or r.y2 <= y1 or r.y1 >= y2:
+                            continue
+                        if x1 <= r.x1 and r.x2 <= x2 and y1 <= r.y1 and r.y2 <= y2:
+                            inside.append(labels[r.id])
+                        else:
+                            exact = False
+                            break
+                    if exact and inside:
+                        out.add(frozenset(inside))
+    return out
+
+
+def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
+    """Realize a tree geometrically by embedding, children before parents.
+
+    The base floorplan of a node is built from its label; the child at
+    position i (whose values form value block sigma[i]) is embedded into the
+    base room labeled sigma[i].  Embedded walls are placed on grid lines
+    that are fresh for the whole arrangement (each child draws from its own
+    disjoint offset block), so no accidental collinearity can produce a '+'
+    junction.  The result is rank-canonical with fresh room ids.
+    """
+
+    def embed(node: Node, kids: list[MosaicFloorplan]) -> MosaicFloorplan:
+        base = bp2fp(node.label)
+        # scale the base grid so each room can host its child's interior
+        # lines on globally unused coordinates
+        kx = sum(c.width - 1 for c in kids) + 1
+        ky = sum(c.height - 1 for c in kids) + 1
+        off_x = off_y = 0
+        ids = itertools.count(1)
+        entries: list[tuple] = []
+        for pos, child in enumerate(kids):
+            room = base.room(node.label.values[pos])
+
+            def map_x(cx: int, room=room, child=child, off=off_x) -> int:
+                if cx == 0:
+                    return room.x1 * kx
+                if cx == child.width:
+                    return room.x2 * kx
+                return room.x1 * kx + off + cx
+
+            def map_y(cy: int, room=room, child=child, off=off_y) -> int:
+                if cy == 0:
+                    return room.y1 * ky
+                if cy == child.height:
+                    return room.y2 * ky
+                return room.y1 * ky + off + cy
+
+            for cr in child.rooms:
+                entries.append((next(ids), map_x(cr.x1), map_y(cr.y1), map_x(cr.x2), map_y(cr.y2)))
+            off_x += child.width - 1
+            off_y += child.height - 1
+        return _canonical_from_entries(entries)
+
+    return _fold(t, single_room(), embed)
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Ordered compositions of ``total`` into ``parts`` positive parts, lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def _trees(k: int, n: int) -> tuple[GenTree, ...]:
+    if n == 1:
+        return (Leaf(),)
+    out: list[GenTree] = []
+    for length in range(2, min(k, n) + 1):
+        for label in simple_baxter_perms(length):
+            restricted = label if label in (_P12, _P21) else None
+            for comp in _compositions(n, length):
+                for kids in itertools.product(*(_trees(k, m) for m in comp)):
+                    first = kids[0]
+                    if restricted is not None and isinstance(first, Node) and first.label == restricted:
+                        continue
+                    out.append(Node(label, kids))
+    return tuple(out)
+
+
+def enumerate_trees(k: int, n: int) -> Iterator[GenTree]:
+    """Every skewed generating tree of order k with n leaves, exactly once.
+
+    Deterministic order: label length, then label lexicographically, then
+    leaf-count composition, then child tuples.
+    """
+    if k < 2:
+        raise ValueError("order k must be >= 2")
+    if n < 1:
+        raise ValueError("leaf count must be >= 1")
+    yield from _trees(k, n)
+
+
+def count_hrd_literal(n: int) -> int:
+    """The order-5 count t_n, evaluated exactly as the recurrence is written:
+
+        t_n = t_{n-1} + sum t_i t_{n-i}
+              + 2 * sum over 6-part compositions of n of the t-products
+              + 2 * sum over 5-part compositions of n of the t-products
+
+    using direct nested summation over the compositions.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t = [0] * (n + 1)
+    t[1] = 1
+    for m in range(2, n + 1):
+        x = 0
+        for i in range(1, m):
+            x += t[i] * t[m - i]
+        y = 0  # five-part compositions
+        for i in range(1, m - 3):
+            for j in range(1, m - i - 2):
+                for kk in range(1, m - i - j - 1):
+                    for l in range(1, m - i - j - kk):
+                        y += t[i] * t[j] * t[kk] * t[l] * t[m - i - j - kk - l]
+        z = 0  # six-part compositions
+        for h in range(1, m - 4):
+            for i in range(1, m - h - 3):
+                for j in range(1, m - h - i - 2):
+                    for kk in range(1, m - h - i - j - 1):
+                        for l in range(1, m - h - i - j - kk):
+                            z += t[h] * t[i] * t[j] * t[kk] * t[l] * t[m - h - i - j - kk - l]
+        t[m] = t[m - 1] + x + 2 * z + 2 * y
+    return t[n]
+
+
+def _composition_sum(t: list[int], m: int, parts: int) -> int:
+    """Sum of t-products over ordered compositions of m into ``parts``
+    positive parts, by direct recursion (no memoization)."""
+    if parts == 1:
+        return t[m] if 1 <= m < len(t) else 0
+    total = 0
+    for first in range(1, m - parts + 2):
+        total += t[first] * _composition_sum(t, m - first, parts - 1)
+    return total
+
+
+def count_hrd(k: int, n: int) -> int:
+    """t_n for any order k, by the paper's recurrence with direct
+    composition sums."""
+    _check_order_and_size(k, n)
+    s = skeleton_counts(min(k, n))
+    t = [0] * (n + 1)
+    t[1] = 1
+    for m in range(2, n + 1):
+        skel = 0
+        for length, mult in s.items():
+            skel += mult * (_composition_sum(t, m, length) + _composition_sum(t, m, length + 1))
+        t[m] = t[m - 1] + _composition_sum(t, m, 2) + skel
+    return t[n]
+
+
+@lru_cache(maxsize=None)
+def _order_histogram(n: int) -> tuple[tuple[int, int], ...]:
+    """(hierarchy order, count) pairs over all Baxter permutations of S_n."""
+    hist: dict[int, int] = {}
+    for tup in itertools.permutations(range(1, n + 1)):
+        if not _is_baxter_seq(tup):
+            continue
+        o = hierarchy_order(Permutation(tup))
+        hist[o] = hist.get(o, 0) + 1
+    return tuple(sorted(hist.items()))
+
+
+def oracle_count(k: int, n: int) -> int:
+    """|{p in S_n : is_hrd(p, k)}| by exhaustive scan.
+
+    Uses only the permutation and tree predicates; shares nothing with the
+    recurrence evaluations above.
+    """
+    _check_order_and_size(k, n)
+    return sum(count for order, count in _order_histogram(n) if order <= k)

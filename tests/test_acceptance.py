@@ -15,23 +15,27 @@ from hrd.perm import (
     Permutation,
     _is_baxter_seq,
     _is_simple_seq,
-    blocks,
     decompose,
     inflate,
     is_baxter,
     is_simple,
 )
-from hrd.floorplan import bp2fp, enumerate_floorplans, fp2bp, validate
-from hrd.gentree import enumerate_trees, floorplan_of_tree, is_ihrd, perm_of_tree, tree_of_perm
-from hrd.counting import (
-    census_simple_baxter,
-    count_hrd,
-    count_hrd_fast,
-    count_hrd_literal,
-    oracle_count,
-    sequence,
-)
+from hrd.floorplan import bp2fp, fp2bp, validate
+from hrd.gentree import is_ihrd, perm_of_tree, tree_of_perm
+from hrd.counting import census_simple_baxter, count_hrd_fast, sequence
 from hrd.lowerbound import grow_ihrd, insertion_family
+
+from oracles import (
+    _compositions,
+    blocks_bruteforce,
+    count_hrd,
+    count_hrd_literal,
+    enumerate_floorplans,
+    enumerate_trees,
+    enveloping_rectangles,
+    floorplan_of_tree,
+    oracle_count,
+)
 
 P = Permutation.parse
 
@@ -106,13 +110,11 @@ def test_criterion_04_bijection_roundtrips(baxter_by_n):
 
 
 def test_criterion_05_block_envelope_correspondence():
-    from hrd.floorplan import enveloping_rectangles
-
     with criterion(5, "blocks match enveloping rectangles exhaustively, n <= 7"):
         for n in range(1, 8):
             for f in enumerate_floorplans(n):
                 p = fp2bp(f)
-                block_sets = {frozenset(p.values[b.start - 1 : b.end]) for b in blocks(p)}
+                block_sets = {frozenset(p.values[i - 1 : j]) for i, j in blocks_bruteforce(p.values)}
                 assert enveloping_rectangles(f) == block_sets
 
 
@@ -157,15 +159,6 @@ def test_criterion_06_decomposition_uniqueness(baxter_by_n):
                 assert key not in seen
                 seen[key] = p
                 assert perm_of_tree(t) == p
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def test_criterion_07_lower_bound_families():

@@ -1,5 +1,6 @@
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,13 @@ class TestLowerboundCommand:
     def test_force_is_not_an_option(self, capsys):
         code, _, err = invoke(capsys, "lowerbound", "--k", "5", "--n", "6", "--force")
         assert code == 2 and "--force" in err
+
+    @pytest.mark.parametrize("extra", [("--n", "1100", "--seed", "41352"), ("--n", "16"), ("--n", "13", "--all-sites")])
+    def test_family_over_the_cap_exits_three_at_once(self, capsys, extra):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "lowerbound", "--k", "5", *extra)
+        assert code == 3 and out == "" and "cap" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGrowIhrdCommand:

@@ -7,8 +7,6 @@ from hrd.gentree import (
     Leaf,
     Node,
     check_tree,
-    enumerate_trees,
-    floorplan_of_tree,
     format_tree,
     hierarchy_order,
     is_hrd,
@@ -18,6 +16,8 @@ from hrd.gentree import (
     perm_of_tree,
     tree_of_perm,
 )
+
+from oracles import enumerate_trees, floorplan_of_tree
 
 P = Permutation.parse
 
@@ -136,11 +136,17 @@ class TestDeepTrees:
         assert leaf_count(t) == depth + 1
         check_tree(t, 2)
         assert perm_of_tree(t) == p
-        # trees are compared through their text: dataclass equality recurses
-        text = format_tree(t)
-        assert format_tree(parse_tree(text)) == text
-        assert format_tree(tree_of_perm(p, 2)) == text
+        assert parse_tree(format_tree(t)) == t
+        assert tree_of_perm(p, 2) == t
         assert fp2bp(floorplan_of_tree(t)) == p
+
+    def test_equality_hash_and_repr_past_the_recursion_limit(self):
+        identity = Permutation(tuple(range(1, 1501)))
+        a, b = tree_of_perm(identity, 2), tree_of_perm(identity, 2)
+        assert a is not b and a == b and hash(a) == hash(b) and b in {a}
+        assert repr(a) == repr(b) == f"Node({format_tree(a)})"
+        assert a != tree_of_perm(Permutation(tuple(range(1500, 0, -1))), 2)
+        assert a != Leaf() and Leaf() != a
 
 
 class TestEnumerateTrees:

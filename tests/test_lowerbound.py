@@ -13,6 +13,8 @@ from hrd.lowerbound import (
     safe_sites,
 )
 
+from oracles import contains_pattern_bruteforce
+
 P = Permutation.parse
 
 
@@ -137,11 +139,9 @@ class TestGrowIhrd:
         assert f10.n == 10 and is_ihrd(fp2bp(f10))
 
     def test_seed_label_survives_as_pattern(self):
-        from hrd.perm import contains_pattern
-
         seed = simple_baxter_perms(7)[0]
         grown = fp2bp(grow_ihrd(bp2fp(seed)))
-        assert contains_pattern(grown, seed)
+        assert contains_pattern_bruteforce(grown.values, seed.values)
 
     def test_label_without_an_extension_raises(self, monkeypatch):
         # no census stand-in: any answer must contain the input label

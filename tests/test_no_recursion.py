@@ -1,9 +1,10 @@
-"""No function in ``hrd`` calls itself by name, except the bounded ones below.
+"""No function in ``hrd`` calls itself by name, and the layers import only
+what their production routes need.
 
 Recursion on the size of an input fails at Python's recursion limit (1000
 frames by default), so the library walks inputs with explicit stacks.  The
-allow-list names each remaining self-recursive function, by module and
-nesting, with the bound on its depth.
+exhaustive enumerations and composition sums that recurse on a small bound
+live in ``tests/oracles.py``.
 """
 
 import ast
@@ -11,16 +12,7 @@ from pathlib import Path
 
 import hrd
 
-ALLOWED = {
-    # depth = number of parts of a composition
-    "counting._composition_sum",
-    "gentree._compositions",
-    # depth = n, in exhaustive enumerations exponential in n
-    "gentree._trees",
-    "floorplan.enumerate_floorplans",
-    # depth = pattern length
-    "perm.contains_pattern.extend",
-}
+LIBRARY = Path(hrd.__file__).parent
 
 
 def self_recursive(scope: ast.AST, prefix: str) -> set[str]:
@@ -41,9 +33,23 @@ def self_recursive(scope: ast.AST, prefix: str) -> set[str]:
     return found
 
 
+def sibling_imports(module: str) -> set[str]:
+    """The sibling modules that ``hrd.<module>`` imports, by ``from .x import``
+    or ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse((LIBRARY / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
 def test_only_bounded_recursion_in_the_library():
     found = set()
-    for path in sorted(Path(hrd.__file__).parent.glob("*.py")):
+    for path in sorted(LIBRARY.glob("*.py")):
         found |= self_recursive(ast.parse(path.read_text()), path.stem)
-    assert found == ALLOWED
+    assert found == set()
 
+
+def test_gentree_imports_no_floorplan_and_counting_no_gentree():
+    assert "floorplan" not in sibling_imports("gentree")
+    assert "gentree" not in sibling_imports("counting")

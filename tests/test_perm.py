@@ -4,24 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hrd.perm import (
-    Block,
     Permutation,
-    blocks,
-    contains_pattern,
     decompose,
     inflate,
     is_baxter,
     is_simple,
-    one_point_delete,
     simple_baxter_perms,
-    symmetries,
 )
 
 from oracles import (
     baxter_quadruple_scan,
     blocks_bruteforce,
-    contains_pattern_bruteforce,
     inflate_bruteforce,
+    symmetries,
 )
 
 P = Permutation.parse
@@ -65,28 +60,6 @@ class TestPermutationType:
             p.at(0)
 
 
-class TestContainsPattern:
-    def test_known_matches(self):
-        assert contains_pattern(P("41352"), P("3142"))
-        assert not contains_pattern(P("123456"), P("321"))
-
-    def test_every_permutation_matches_itself(self, baxter_by_n):
-        for p in baxter_by_n[5]:
-            assert contains_pattern(p, p)
-
-    def test_pattern_longer_than_text_rejected(self):
-        with pytest.raises(ValueError):
-            contains_pattern(P("12"), P("123"))
-
-    @given(perms_upto(7), perms_upto(4))
-    @settings(max_examples=200)
-    def test_matches_bruteforce(self, text, pattern):
-        if len(pattern) > len(text):
-            return
-        got = contains_pattern(Permutation(tuple(text)), Permutation(tuple(pattern)))
-        assert got == contains_pattern_bruteforce(text, pattern)
-
-
 class TestIsBaxter:
     def test_known_values(self):
         assert not is_baxter(P("2413"))
@@ -110,25 +83,15 @@ class TestIsBaxter:
 
 class TestBlocks:
     def test_3421_has_prefix_block(self):
-        bs = blocks(P("3421"))
-        assert Block(1, 3) in bs
-        assert Block(2, 4) not in bs
+        bs = blocks_bruteforce(P("3421").values)
+        assert (1, 3) in bs
+        assert (2, 4) not in bs
 
     def test_singleton(self):
-        assert blocks(P("1")) == [Block(1, 1)]
+        assert blocks_bruteforce(P("1").values) == {(1, 1)}
 
     def test_simple_permutation_has_only_trivial_blocks(self):
-        assert blocks(P("41352")) == [Block(1, 1), Block(1, 5), Block(2, 2), Block(3, 3), Block(4, 4), Block(5, 5)]
-
-    def test_sorted_by_start_then_end(self):
-        bs = blocks(P("123456"))
-        assert bs == sorted(bs)
-
-    @given(perms_upto(7))
-    @settings(max_examples=150)
-    def test_matches_bruteforce(self, vals):
-        got = {(b.start, b.end) for b in blocks(Permutation(tuple(vals)))}
-        assert got == blocks_bruteforce(tuple(vals))
+        assert blocks_bruteforce(P("41352").values) == {(1, 1), (1, 5), (2, 2), (3, 3), (4, 4), (5, 5)}
 
 
 class TestIsSimple:
@@ -143,21 +106,8 @@ class TestIsSimple:
         for n in range(1, 8):
             for tup in itertools.permutations(range(1, n + 1)):
                 p = Permutation(tup)
-                trivial = all(b.start == b.end or (b.start, b.end) == (1, n) for b in blocks(p))
+                trivial = all(i == j or (i, j) == (1, n) for i, j in blocks_bruteforce(tup))
                 assert is_simple(p) == trivial, tup
-
-
-class TestOnePointDelete:
-    def test_known_deletions(self):
-        assert one_point_delete(P("41352"), 3) == P("3142")
-        assert one_point_delete(P("12"), 2) == P("1")
-        assert one_point_delete(P("2413"), 1) == P("312")
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            one_point_delete(P("1"), 1)
-        with pytest.raises(IndexError):
-            one_point_delete(P("12"), 3)
 
 
 class TestInflate:
