@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
-validation error, 3 infeasible argument (the ``census`` scan cap exceeded
-without --force, or a ``lowerbound`` family over its cap).  Integers are
-printed and read whatever their length (see ``counting.unlimited_int_text``).
+validation error, 3 infeasible argument (a ``census`` longer than 11, or a
+``lowerbound`` family of more than 3^10 traces).  Integers are printed and
+read whatever their length (see ``counting.unlimited_int_text``).
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = counting.census_simple_baxter(args.len, with_list=args.list, force=args.force)
+    census = counting.census_simple_baxter(args.len)
     print(census.count)
     if args.list:
         for p in census.perms:
@@ -111,22 +111,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    cap = counting._LOWERBOUND_CAP
-    per_room, added = (4 if args.all_sites else 3), args.n - args.k
-    # per_room >= 2, so the clipped exponent, the cap's bit length, is
-    # already over the cap; clipping keeps the power small for any --n
-    if per_room ** min(added, cap.bit_length()) > cap:
-        raise counting.CapExceeded(f"a family of up to {per_room}^{added} traces exceeds the cap {cap}")
-    if args.seed is not None:
-        seed = Permutation.parse(args.seed)
-    elif args.k <= counting.DEFAULT_CENSUS_CAP:
-        perms = counting.census_simple_baxter(args.k, with_list=True).perms
-        if not perms:
-            raise ValueError(f"no irreducible seed of length {args.k} exists")
-        seed = perms[0]
-    else:
-        seed = lowerbound.grown_seed(args.k)
-    report = lowerbound.insertion_family(args.k, args.n, seed, all_sites=args.all_sites)
+    seed = lowerbound.grown_seed(args.k) if args.seed is None else Permutation.parse(args.seed)
+    report = lowerbound.insertion_family(args.k, args.n, seed)
     print(lowerbound.format_report(report))
     ok = report.all_baxter and report.all_hrd_k and report.none_hrd_below
     return 0 if ok else 1
@@ -192,14 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("census", help="simple Baxter permutations of one length")
     sp.add_argument("--len", type=int, required=True)
     sp.add_argument("--list", action="store_true", help="also print the permutations")
-    sp.add_argument("--force", action="store_true", help="override the census cap")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("lowerbound", help="insertion family report for a seed")
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", help="irreducible seed (default: first census entry of length k; beyond the census cap, a grown one)")
-    sp.add_argument("--all-sites", action="store_true", help="branch over all safe sites, not the canonical three")
+    sp.add_argument("--seed", help="irreducible seed (default: 12, 41352 or 24853617, grown to length k)")
     sp.set_defaults(func=_cmd_lowerbound)
 
     sp = sub.add_parser("grow-ihrd", help="grow an irreducible floorplan by two rooms")

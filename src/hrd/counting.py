@@ -27,8 +27,8 @@ arithmetic.
 The s_l come from the Baxter numbers, not from a scan of S_l: with no order
 bound every Baxter permutation is an HRD, so the Baxter series B satisfies
 the same equation, B = x + 2B^2/(1+B) + S(B), and reverting B gives S
-(``skeleton_counts``).  The exhaustive ``census_simple_baxter`` lists the
-skeletons themselves.
+(``skeleton_counts``) at any length.  ``census_simple_baxter`` lists the
+skeletons themselves, up to length ``DEFAULT_CENSUS_CAP`` = 11.
 
 ``count_hrd_fast`` is the one counting route: it grows each power column
 by one incremental convolution per term, O(k n^2) in all.
@@ -49,10 +49,8 @@ from types import MappingProxyType
 
 from .perm import Permutation, simple_baxter_perms
 
-DEFAULT_CENSUS_CAP = 10
-# traces of a ``lowerbound`` family; 3**10 of them take about as long as
-# the census of length 10
-_LOWERBOUND_CAP = 3**10
+# longest census: listing length 11 takes about 5 s, length 12 about 30 s
+DEFAULT_CENSUS_CAP = 11
 
 _MEMO_ENV = "HRD_MEMO_DIR"
 _TABLE_VERSION = "hrd-count-table v2"
@@ -68,23 +66,18 @@ class Census:
 
     length: int
     count: int
-    perms: tuple[Permutation, ...] | None = None
+    perms: tuple[Permutation, ...]
 
 
-def census_simple_baxter(
-    length: int,
-    with_list: bool = False,
-    *,
-    cap: int = DEFAULT_CENSUS_CAP,
-    force: bool = False,
-) -> Census:
-    """Exact s_l by exhaustive filtering of the symmetric group."""
+def census_simple_baxter(length: int) -> Census:
+    """Exact s_l with the skeletons themselves, listed by the pruned search
+    of ``perm.simple_baxter_perms``, for 2 <= length <= DEFAULT_CENSUS_CAP."""
     if length < 2:
         raise ValueError("census is defined for lengths >= 2")
-    if length > cap and not force:
-        raise CapExceeded(f"census length {length} exceeds the cap {cap}; pass force to override")
+    if length > DEFAULT_CENSUS_CAP:
+        raise CapExceeded(f"census length {length} exceeds the cap {DEFAULT_CENSUS_CAP}")
     perms = simple_baxter_perms(length)
-    return Census(length, len(perms), perms if with_list else None)
+    return Census(length, len(perms), perms)
 
 
 def _baxter_number(n: int) -> int:

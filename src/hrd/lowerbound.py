@@ -15,9 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .counting import CapExceeded
 from .floorplan import MosaicFloorplan, bp2fp, fp2bp
 from .gentree import hierarchy_order, is_ihrd
 from .perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple
+
+# insertions beyond the seed in one family: its 3**10 traces take about
+# 15 s on a 2-vCPU VM, three times the census of length 11
+_MAX_INSERTIONS = 10
 
 
 def safe_sites(p: Permutation) -> list[int]:
@@ -62,13 +67,7 @@ class InsertionTrace:
     current: Permutation
 
 
-def insertion_traces(
-    k: int,
-    n: int,
-    seed: Permutation,
-    *,
-    all_sites: bool = False,
-) -> Iterator[InsertionTrace]:
+def insertion_traces(k: int, n: int, seed: Permutation) -> Iterator[InsertionTrace]:
     """All insertion traces from an irreducible seed of length k up to
     length n, in lexicographic order of the choice vectors."""
     if len(seed) != k:
@@ -84,9 +83,10 @@ def insertion_traces(
         if len(cur) == n:
             yield InsertionTrace(seed, choices, cur)
             continue
-        sites = safe_sites(cur) if all_sites else _canonical_sites(cur)
+        vals = cur.values
         # pushed in reverse, so the smallest site is grown first
-        stack.extend((insert_max(cur, site), choices + (site,)) for site in reversed(sites))
+        for site in reversed(_canonical_sites(cur)):
+            stack.append((Permutation(vals[:site] + (len(vals) + 1,) + vals[site:]), choices + (site,)))
 
 
 @dataclass(frozen=True)
@@ -99,26 +99,21 @@ class FamilyReport:
     all_baxter: bool
     all_hrd_k: bool
     none_hrd_below: bool
-    samples: tuple[Permutation, ...]
 
 
-def insertion_family(
-    k: int,
-    n: int,
-    seed: Permutation,
-    *,
-    all_sites: bool = False,
-) -> FamilyReport:
-    """Enumerate the family and verify every member by the predicates; the
-    report keeps the first three distinct members as samples."""
-    finals: list[Permutation] = []
-    seen: set[tuple[int, ...]] = set()
+def insertion_family(k: int, n: int, seed: Permutation) -> FamilyReport:
+    """Enumerate the family and verify every member by the predicates.
+
+    The count is the number of traces: distinct choice vectors give distinct
+    members, since deleting the maximum recovers the parent and the site.
+    """
+    if n - k > _MAX_INSERTIONS:
+        raise CapExceeded(f"a family of 3^{n - k} traces exceeds the cap 3^{_MAX_INSERTIONS}")
+    count = 0
     all_baxter = all_hrd_k = none_below = True
-    for trace in insertion_traces(k, n, seed, all_sites=all_sites):
+    for trace in insertion_traces(k, n, seed):
+        count += 1
         q = trace.current
-        if q.values not in seen:
-            seen.add(q.values)
-            finals.append(q)
         try:
             order = hierarchy_order(q)  # checks Baxter first, then one walk
         except ValueError:
@@ -132,12 +127,11 @@ def insertion_family(
         seed=seed,
         k=k,
         n=n,
-        count=len(finals),
+        count=count,
         expected=3 ** (n - k),
         all_baxter=all_baxter,
         all_hrd_k=all_hrd_k,
         none_hrd_below=none_below,
-        samples=tuple(finals[:3]),
     )
 
 
@@ -172,12 +166,13 @@ def _grow_label(label: Permutation) -> Permutation:
 
 
 def grown_seed(k: int) -> Permutation:
-    """A simple Baxter permutation of length k without a census: 41352 for
-    odd k, 24853617 for even k, grown two elements at a time by
-    ``_grow_label``, for k = 5 or k >= 7."""
-    if k < 7 and k != 5:
-        raise ValueError(f"grown seeds have length 5 or at least 7, not {k}")
-    p = Permutation.parse("41352" if k % 2 else "24853617")
+    """The default seed of ``hrd lowerbound``: a simple Baxter permutation of
+    length k, 12 for k = 2, otherwise 41352 for odd k and 24853617 for even
+    k, grown two elements at a time by ``_grow_label``.  None exists for
+    k = 3, 4 or 6, and k = 1 is outside the theorem's setting."""
+    if k < 2 or k in (3, 4, 6):
+        raise ValueError(f"no irreducible seed of length {k} exists")
+    p = Permutation.parse("12" if k == 2 else "41352" if k % 2 else "24853617")
     while len(p) < k:
         p = _grow_label(p)
     return p

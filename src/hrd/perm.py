@@ -8,7 +8,6 @@ position 1 to value 4.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -98,32 +97,27 @@ class Decomposition:
     children: tuple[Permutation, ...]
 
 
+def _baxter_pair_ok(vals, v: int, i: int, j: int) -> bool:
+    """False iff values v and v+1, at indices i and j of ``vals``, are the
+    outer pair of a forbidden 3142 or 2413: read from v+1 towards v, the
+    entries between them hold a value below v and later one above v+1."""
+    step = 1 if j < i else -1
+    seen_small = False
+    for k in range(j + step, i, step):
+        if vals[k] < v:
+            seen_small = True
+        elif vals[k] > v + 1 and seen_small:
+            return False
+    return True
+
+
 def _is_baxter_seq(vals: tuple[int, ...]) -> bool:
-    n = len(vals)
-    if n < 4:
-        return True
-    pos = [0] * (n + 1)
+    pos = [0] * (len(vals) + 1)
     for i, v in enumerate(vals):
         pos[v] = i
-    for v in range(1, n):
-        lo, hi = pos[v], pos[v + 1]
-        if lo < hi:
-            # forbidden 3142 with ends v, v+1: something > v+1 then
-            # something < v strictly between them
-            seen_big = False
-            for i in range(lo + 1, hi):
-                if vals[i] > v + 1:
-                    seen_big = True
-                elif vals[i] < v and seen_big:
-                    return False
-        else:
-            # forbidden 2413 with ends v+1, v: small then big between them
-            seen_small = False
-            for i in range(hi + 1, lo):
-                if vals[i] < v:
-                    seen_small = True
-                elif vals[i] > v + 1 and seen_small:
-                    return False
+    for v in range(1, len(vals)):
+        if not _baxter_pair_ok(vals, v, pos[v], pos[v + 1]):
+            return False
     return True
 
 
@@ -246,12 +240,44 @@ def decompose(p: Permutation) -> Decomposition:
 def simple_baxter_perms(length: int) -> tuple[Permutation, ...]:
     """All simple Baxter permutations of a given length, lexicographically.
 
-    Exhaustive scan of the symmetric group; meant for desk-scale lengths.
+    Depth-first search over prefixes, smallest value first, on an explicit
+    stack.  A prefix is dropped once it holds a Baxter violation between two
+    placed values v and v+1, or ends in a block of length 2..length-1.  No
+    later entry can undo either: the entries between two placed positions
+    are placed, and consecutive positions holding an interval of values stay
+    a block in every completion.  Each condition of the two predicates is
+    tested when the last entry it involves is placed, so the survivors of
+    full length are exactly the simple Baxter permutations.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    n = length
+    vals: list[int] = []
+    pos = [-1] * (n + 2)  # index of each placed value; -1 also for 0 and n+1
     out = []
-    for tup in itertools.permutations(range(1, length + 1)):
-        if _is_baxter_seq(tup) and _is_simple_seq(tup):
-            out.append(Permutation(tup))
+    v = 1  # the next value to try at depth len(vals)
+    while vals or v <= n:
+        if v > n:  # this depth is exhausted: try the parent's next value
+            v = vals.pop()
+            pos[v] = -1
+        elif pos[v] < 0:
+            i = pos[v] = len(vals)
+            vals.append(v)
+            ok = (pos[v - 1] < 0 or _baxter_pair_ok(vals, v - 1, pos[v - 1], i)) and (
+                pos[v + 1] < 0 or _baxter_pair_ok(vals, v, i, pos[v + 1])
+            )
+            lo = hi = v
+            j = i - 1
+            while ok and j >= (i == n - 1):  # suffix blocks of length 2..n-1
+                if vals[j] < lo:
+                    lo = vals[j]
+                elif vals[j] > hi:
+                    hi = vals[j]
+                ok = hi - lo != i - j
+                j -= 1
+            if ok and i + 1 == n:
+                out.append(Permutation(tuple(vals)))
+            v = 1 if ok else n + 1  # descend, or take v back at the next step
+            continue
+        v += 1
     return tuple(out)

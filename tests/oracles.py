@@ -5,6 +5,9 @@ method; what each takes from the library:
 - ``baxter_quadruple_scan``, ``contains_pattern_bruteforce``,
   ``blocks_bruteforce``, ``inflate_bruteforce`` and ``symmetries`` work
   on the values alone and share no code with ``hrd.perm``.
+- ``simple_baxter_perms_by_scan`` filters the whole symmetric group with
+  ``hrd.perm._is_baxter_seq`` and ``_is_simple_seq``; the production
+  ``simple_baxter_perms`` prunes prefixes instead.
 - ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
   ``_insert_top_left`` below, which rank-compresses through
   ``hrd.floorplan._canonical_from_entries``; the production ``bp2fp``
@@ -48,7 +51,7 @@ from hrd.floorplan import (
     single_room,
 )
 from hrd.gentree import _P12, _P21, GenTree, Leaf, Node, _fold, hierarchy_order
-from hrd.perm import Permutation, _is_baxter_seq, simple_baxter_perms
+from hrd.perm import Permutation, _is_baxter_seq, _is_simple_seq, simple_baxter_perms
 
 
 def baxter_quadruple_scan(values) -> bool:
@@ -65,6 +68,20 @@ def baxter_quadruple_scan(values) -> bool:
                     if pj < pi == pl + 1 < pk:
                         return False
     return True
+
+
+def simple_baxter_perms_by_scan(length: int) -> tuple[Permutation, ...]:
+    """All simple Baxter permutations of a given length, lexicographically.
+
+    Exhaustive scan of the symmetric group; meant for desk-scale lengths.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    out = []
+    for tup in itertools.permutations(range(1, length + 1)):
+        if _is_baxter_seq(tup) and _is_simple_seq(tup):
+            out.append(Permutation(tup))
+    return tuple(out)
 
 
 def _pattern_of(seq) -> tuple:

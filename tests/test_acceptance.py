@@ -84,7 +84,7 @@ def test_criterion_03_census_fixtures():
         assert census_simple_baxter(2).count == 2
         assert census_simple_baxter(3).count == 0
         assert census_simple_baxter(4).count == 0
-        five = census_simple_baxter(5, with_list=True)
+        five = census_simple_baxter(5)
         assert five.count == 2
         assert {p.compact() for p in five.perms} == {"41352", "25314"}
         s6 = census_simple_baxter(6).count
@@ -172,14 +172,14 @@ def test_criterion_07_lower_bound_families():
 
 def test_criterion_08_hierarchy_strictness():
     with criterion(8, "irreducible growth 7->9->11 and 8->10"):
-        seed7 = census_simple_baxter(7, with_list=True).perms[0]
+        seed7 = census_simple_baxter(7).perms[0]
         f = bp2fp(seed7)
         for rooms in (9, 11):
             f = grow_ihrd(f)
             label = fp2bp(f)
             assert f.n == rooms == len(label)
             assert is_simple(label) and is_baxter(label) and is_ihrd(label)
-        seed8 = census_simple_baxter(8, with_list=True).perms[0]
+        seed8 = census_simple_baxter(8).perms[0]
         f10 = grow_ihrd(bp2fp(seed8))
         label = fp2bp(f10)
         assert f10.n == 10 and is_ihrd(label)

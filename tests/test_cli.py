@@ -160,8 +160,14 @@ class TestCensus:
         assert out.splitlines() == ["2", "2 5 3 1 4", "4 1 3 5 2"]
 
     def test_cap_exits_three(self, capsys):
-        code, _, err = invoke(capsys, "census", "--len", "11")
-        assert code == 3
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "census", "--len", "12")
+        assert (code, out) == (3, "") and "cap 11" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_force_is_not_an_option(self, capsys):
+        code, _, err = invoke(capsys, "census", "--len", "5", "--force")
+        assert code == 2 and "--force" in err
 
 
 class TestFloorplanCommands:
@@ -234,7 +240,18 @@ class TestLowerboundCommand:
 
     def test_default_seed_is_first_census_entry(self, capsys):
         code, out, _ = invoke(capsys, "lowerbound", "--k", "5", "--n", "6")
-        assert code == 0 and out.startswith("seed=25314 ")
+        assert code == 0 and out.startswith("seed=41352 ")
+
+    def test_default_seed_needs_no_census(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "lowerbound", "--k", "10", "--n", "10")
+        assert code == 0 and " k=10 n=10 family=1 expected=1 " in out
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 6])
+    def test_no_default_seed_of_lengths_without_skeletons(self, capsys, k):
+        code, out, err = invoke(capsys, "lowerbound", "--k", str(k), "--n", "6")
+        assert (code, out) == (2, "") and "no irreducible seed" in err
 
     def test_default_seed_beyond_the_census_cap(self, capsys):
         code, out, _ = invoke(capsys, "lowerbound", "--k", "11", "--n", "12")
@@ -245,7 +262,11 @@ class TestLowerboundCommand:
         code, _, err = invoke(capsys, "lowerbound", "--k", "5", "--n", "6", "--force")
         assert code == 2 and "--force" in err
 
-    @pytest.mark.parametrize("extra", [("--n", "1100", "--seed", "41352"), ("--n", "16"), ("--n", "13", "--all-sites")])
+    def test_all_sites_is_not_an_option(self, capsys):
+        code, _, err = invoke(capsys, "lowerbound", "--k", "5", "--n", "6", "--seed", "41352", "--all-sites")
+        assert code == 2 and "--all-sites" in err
+
+    @pytest.mark.parametrize("extra", [("--n", "1100", "--seed", "41352"), ("--n", "16")])
     def test_family_over_the_cap_exits_three_at_once(self, capsys, extra):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "lowerbound", "--k", "5", *extra)

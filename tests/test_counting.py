@@ -32,22 +32,20 @@ class TestCensus:
         assert census_simple_baxter(7).count == 12
 
     def test_wheel_list(self):
-        census = census_simple_baxter(5, with_list=True)
+        census = census_simple_baxter(5)
         assert [p.compact() for p in census.perms] == ["25314", "41352"]
-        assert census_simple_baxter(5).perms is None
 
     def test_listed_perms_are_simple_baxter(self):
         from hrd.perm import is_baxter, is_simple
 
-        for p in census_simple_baxter(7, with_list=True).perms:
+        for p in census_simple_baxter(7).perms:
             assert is_baxter(p) and is_simple(p)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            census_simple_baxter(11)
+            census_simple_baxter(12)
         with pytest.raises(ValueError):
             census_simple_baxter(1)
-        assert census_simple_baxter(4, cap=3, force=True).count == 0
 
 
 class TestSkeletonCounts:

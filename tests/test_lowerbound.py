@@ -63,7 +63,7 @@ class TestInsertionFamily:
     def test_trivial_family_is_the_seed(self):
         r = insertion_family(5, 5, P("41352"))
         assert r.count == r.expected == 1
-        assert r.samples == (P("41352"),)
+        assert [t.current for t in insertion_traces(5, 5, P("41352"))] == [P("41352")]
 
     @pytest.mark.parametrize("seed,n,size", [("41352", 7, 9), ("25314", 8, 27)])
     def test_exact_powers_of_three(self, seed, n, size):
@@ -93,12 +93,6 @@ class TestInsertionFamily:
                 assert is_baxter(cur) and is_hrd(cur, 5)
             assert cur == trace.current
 
-    def test_all_sites_variant_is_a_superset(self):
-        canonical = {t.current.values for t in insertion_traces(5, 7, P("41352"))}
-        everything = {t.current.values for t in insertion_traces(5, 7, P("41352"), all_sites=True)}
-        assert canonical <= everything
-        assert len(everything) > len(canonical)
-
     def test_invalid_seeds_rejected(self):
         with pytest.raises(ValueError):
             insertion_family(4, 6, P("2413"))  # not Baxter
@@ -109,10 +103,10 @@ class TestInsertionFamily:
 
     def test_flags_match_the_predicates_on_unsafe_members(self, monkeypatch):
         # every slot counts as safe, so some members leave Baxter and order k
-        monkeypatch.setattr(lowerbound, "safe_sites", lambda p: list(range(len(p) + 1)))
+        monkeypatch.setattr(lowerbound, "_canonical_sites", lambda p: list(range(len(p) + 1)))
         for k, seed, n in ((2, "12", 5), (5, "41352", 7), (5, "25314", 7)):
-            members = [t.current for t in insertion_traces(k, n, P(seed), all_sites=True)]
-            r = insertion_family(k, n, P(seed), all_sites=True)
+            members = [t.current for t in insertion_traces(k, n, P(seed))]
+            r = insertion_family(k, n, P(seed))
             assert r.all_baxter == all(is_baxter(q) for q in members)
             assert r.all_hrd_k == all(is_hrd(q, k) for q in members)
             assert r.none_hrd_below == (k == 2 or not any(is_hrd(q, k - 1) for q in members))

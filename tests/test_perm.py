@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hrd.counting import skeleton_counts
 from hrd.perm import (
     Permutation,
     decompose,
@@ -16,6 +17,7 @@ from oracles import (
     baxter_quadruple_scan,
     blocks_bruteforce,
     inflate_bruteforce,
+    simple_baxter_perms_by_scan,
     symmetries,
 )
 
@@ -203,3 +205,13 @@ class TestSymmetries:
 def test_simple_baxter_census_values():
     assert [len(simple_baxter_perms(n)) for n in range(2, 8)] == [2, 0, 0, 2, 0, 12]
     assert [p.compact() for p in simple_baxter_perms(5)] == ["25314", "41352"]
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+def test_pruned_search_matches_the_scan_in_order(length):
+    assert simple_baxter_perms(length) == simple_baxter_perms_by_scan(length)
+
+
+@pytest.mark.parametrize("length,count", [(10, 418), (11, 1722)])
+def test_pruned_search_reaches_the_census_cap(length, count):
+    assert len(simple_baxter_perms(length)) == skeleton_counts(length)[length] == count
