@@ -19,7 +19,7 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=2)
     args = ap.parse_args()
 
-    seeds = census_simple_baxter(args.seed_length).perms
+    seeds = census_simple_baxter(args.seed_length)
     f = bp2fp(seeds[args.seed_index])
     for step in range(args.steps + 1):
         label = fp2bp(f)

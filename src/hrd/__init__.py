@@ -8,6 +8,12 @@ families behind the 3**(n-k) lower bound.
 
 __version__ = "0.1.0"
 
-from .perm import Permutation
 
-__all__ = ["Permutation", "__version__"]
+class CapExceeded(RuntimeError):
+    """A request whose cost exceeds a configured cap (the CLI exits 3)."""
+
+
+# after CapExceeded, so that submodules can import it from here
+from .perm import Permutation  # noqa: E402
+
+__all__ = ["CapExceeded", "Permutation", "__version__"]

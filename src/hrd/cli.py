@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import counting, floorplan, gentree, lowerbound
+from . import CapExceeded, counting, floorplan, gentree, lowerbound
 from .perm import Permutation, decompose, is_baxter, is_simple
 
 
@@ -56,10 +56,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_tree(args) -> int:
     p = _perm_from_args(args)
-    if not is_baxter(p):
+    try:
+        tree = gentree.tree_of_perm(p, args.k)
+    except gentree.NotBaxter:
         print(f"no order-{args.k} tree: not a Baxter permutation")
         return 1
-    tree = gentree.tree_of_perm(p, args.k)
     if tree is None:
         print(f"no order-{args.k} tree: a skeleton exceeds length {args.k}")
         return 1
@@ -102,16 +103,16 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = counting.census_simple_baxter(args.len)
-    print(census.count)
+    perms = counting.census_simple_baxter(args.len)
+    print(len(perms))
     if args.list:
-        for p in census.perms:
+        for p in perms:
             print(p)
     return 0
 
 
 def _cmd_lowerbound(args) -> int:
-    seed = lowerbound.grown_seed(args.k) if args.seed is None else Permutation.parse(args.seed)
+    seed = None if args.seed is None else Permutation.parse(args.seed)
     report = lowerbound.insertion_family(args.k, args.n, seed)
     print(lowerbound.format_report(report))
     ok = report.all_baxter and report.all_hrd_k and report.none_hrd_below
@@ -211,7 +212,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         with counting.unlimited_int_text():
             return args.func(args)
-    except counting.CapExceeded as e:
+    except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:

@@ -40,13 +40,14 @@ import os
 import sys
 import zlib
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from pathlib import Path
 from types import MappingProxyType
 
+from . import CapExceeded
 from .perm import Permutation, simple_baxter_perms
 
 # longest census: listing length 11 takes about 5 s, length 12 about 30 s
@@ -56,28 +57,15 @@ _MEMO_ENV = "HRD_MEMO_DIR"
 _TABLE_VERSION = "hrd-count-table v2"
 
 
-class CapExceeded(RuntimeError):
-    """An exhaustive scan was requested beyond its configured cap."""
-
-
-@dataclass(frozen=True)
-class Census:
-    """Simple Baxter permutations of one length: the order-l skeletons."""
-
-    length: int
-    count: int
-    perms: tuple[Permutation, ...]
-
-
-def census_simple_baxter(length: int) -> Census:
-    """Exact s_l with the skeletons themselves, listed by the pruned search
-    of ``perm.simple_baxter_perms``, for 2 <= length <= DEFAULT_CENSUS_CAP."""
+def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
+    """The skeletons of one length l, whose number is s_l, listed by the
+    pruned search of ``perm.simple_baxter_perms``, for 2 <= length <=
+    DEFAULT_CENSUS_CAP."""
     if length < 2:
         raise ValueError("census is defined for lengths >= 2")
     if length > DEFAULT_CENSUS_CAP:
         raise CapExceeded(f"census length {length} exceeds the cap {DEFAULT_CENSUS_CAP}")
-    perms = simple_baxter_perms(length)
-    return Census(length, len(perms), perms)
+    return simple_baxter_perms(length)
 
 
 def _baxter_number(n: int) -> int:
@@ -228,7 +216,7 @@ def load_table(k: int, directory: Path | None = None) -> CountTable | None:
 def ensure_table(k: int, n: int, *, use_memo: bool = True, directory: Path | None = None) -> CountTable:
     """Table covering 1..n for order k, going through the persistent memo:
     a stored table that covers n is returned, anything else is recomputed
-    and stored."""
+    and stored.  A memo that cannot be written is skipped."""
     _check_order_and_size(k, n)
     if use_memo:
         table = load_table(k, directory)
@@ -236,5 +224,6 @@ def ensure_table(k: int, n: int, *, use_memo: bool = True, directory: Path | Non
             return table
     table = count_hrd_fast(k, n)
     if use_memo:
-        save_table(table, directory)
+        with suppress(OSError):
+            save_table(table, directory)
     return table

@@ -3,10 +3,9 @@ interior junctions are all T-shaped.
 
 The origin sits at the top-left corner and y grows downward.  Only the wall
 topology of a floorplan matters: corner deletions run on the coordinates
-they are given, and ``canonical``, ``reflect``, ``bp2fp`` and
-``delete_corner`` return coordinates ranked to the distinct wall positions.
-Two floorplans have the same wall topology exactly when their deletion-order
-label permutations (``fp2bp``) agree.
+they are given, and ``canonical`` and ``bp2fp`` return coordinates ranked to
+the distinct wall positions.  Two floorplans have the same wall topology
+exactly when their deletion-order label permutations (``fp2bp``) agree.
 
 Corner deletion slides one edge of the corner room until it hits the
 bounding rectangle, dragging the attached T-junctions along.  Labeling rooms
@@ -19,7 +18,7 @@ Both directions are near-linear.  Deletions run on an index from each
 room's top-left corner to the room, and find the sliding rooms by hopping
 from corner to corner along the deleted room's bottom or right edge; a room
 slides at most once per axis, so a whole deletion order costs O(n)
-(``_delete_top_left``, shared by ``fp2bp`` and ``delete_corner``).
+(``_delete_top_left``).
 Insertions keep the left and top boundary rooms as two stacks, which only
 change at the corner end, and give each fresh line a coordinate counting
 down from n, since it always lies nearest the corner; one rank compression
@@ -32,17 +31,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .perm import Permutation, is_baxter
-
-
-class Corner(Enum):
-    TOP_LEFT = "top-left"
-    TOP_RIGHT = "top-right"
-    BOTTOM_LEFT = "bottom-left"
-    BOTTOM_RIGHT = "bottom-right"
 
 
 @dataclass(frozen=True)
@@ -63,16 +54,6 @@ class MosaicFloorplan:
     @property
     def n(self) -> int:
         return len(self.rooms)
-
-    def room(self, room_id: int) -> Room:
-        for r in self.rooms:
-            if r.id == room_id:
-                return r
-        raise KeyError(f"no room with id {room_id}")
-
-
-def single_room() -> MosaicFloorplan:
-    return MosaicFloorplan(1, 1, (Room(1, 0, 0, 1, 1),))
 
 
 def _canonical_from_entries(
@@ -165,11 +146,6 @@ def diagnose(f: MosaicFloorplan) -> list[str]:
     return [f"'+' junction at point ({x},{y})" for (x, y), k in corners.items() if k == 4]
 
 
-def validate(f: MosaicFloorplan) -> bool:
-    """True iff the tiling is exact and every interior junction is a T."""
-    return not diagnose(f)
-
-
 def _require_valid(f: MosaicFloorplan) -> None:
     msgs = diagnose(f)
     if msgs:
@@ -192,10 +168,6 @@ def _mirror_entries(
 
 def _entries(rooms: Iterable[Room]) -> Iterator[tuple]:
     return ((r.id, r.x1, r.y1, r.x2, r.y2) for r in rooms)
-
-
-def reflect(f: MosaicFloorplan, *, flip_x: bool = False, flip_y: bool = False) -> MosaicFloorplan:
-    return _canonical_from_entries(_mirror_entries(f.width, f.height, _entries(f.rooms), flip_x, flip_y))
 
 
 def _corner_index(entries: Iterable[tuple]) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -256,18 +228,6 @@ def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int
             at[0, y] = room
             y = room[1]
     return rid
-
-
-def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
-    """Remove the block sitting at ``corner``; the result has n-1 rooms and
-    rank-canonical coordinates."""
-    _require_valid(f)
-    fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
-    fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
-    at = _corner_index(_mirror_entries(f.width, f.height, _entries(f.rooms), fx, fy))
-    _delete_top_left(at, f.width, f.height)
-    rest = ((rid, x1, y1, x2, y2) for (x1, y1), (x2, y2, rid) in at.items())
-    return _canonical_from_entries(_mirror_entries(f.width, f.height, rest, fx, fy))
 
 
 def _top_left_order(width: int, height: int, entries: Iterable[tuple]) -> list[int]:

@@ -8,22 +8,23 @@ first-child slot of a node labeled 12 (resp. 21) may not itself be labeled
 12 (resp. 21).  With that rule the tree for a permutation is unique and is
 exactly its recursive canonical decomposition.
 
-The tree functions share one iterative post-order fold (``_fold``), node
-equality, hashing and repr go through the text form it builds, and checking
-and parsing are loops, so none recurses on an input's nesting depth.
+The tree functions share one iterative post-order fold (``_fold``), and node
+equality, hashing and repr go through the text form it builds, so none
+recurses on an input's nesting depth.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar, Union
 
 from .perm import Decomposition, Permutation, decompose, inflate, is_baxter, is_simple
 
 _P1 = Permutation.of(1)
-_P12 = Permutation.of(1, 2)
-_P21 = Permutation.of(2, 1)
+
+
+class NotBaxter(ValueError):
+    """A generating tree was asked of a permutation that is not Baxter."""
 
 
 @dataclass(frozen=True)
@@ -78,27 +79,6 @@ def _fold(t: GenTree, leaf_value: V, combine: Callable[[Node, list[V]], V]) -> V
     return built[0] if built else leaf_value
 
 
-def leaf_count(t: GenTree) -> int:
-    return _fold(t, 1, lambda node, counts: sum(counts))
-
-
-def check_tree(t: GenTree, k: int | None = None) -> None:
-    """Raise ValueError if ``t`` violates the generating-tree invariants."""
-    for node in _nodes(t):
-        m = len(node.label)
-        if m < 2:
-            raise ValueError("node labels must be non-singleton")
-        if k is not None and m > k:
-            raise ValueError(f"node label {node.label} exceeds order {k}")
-        if not (is_simple(node.label) and is_baxter(node.label)):
-            raise ValueError(f"node label {node.label} is not simple Baxter")
-        if len(node.children) != m:
-            raise ValueError(f"node labeled {node.label} needs {m} children, has {len(node.children)}")
-        first = node.children[0]
-        if node.label in (_P12, _P21) and isinstance(first, Node) and first.label == node.label:
-            raise ValueError(f"skew rule: restricted child of {node.label} repeats the label")
-
-
 def perm_of_tree(t: GenTree) -> Permutation:
     """Inflate every node's label by its children's permutations; a leaf is 1."""
     return _fold(t, _P1, lambda node, kids: inflate(node.label, kids))
@@ -107,13 +87,15 @@ def perm_of_tree(t: GenTree) -> Permutation:
 def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
     """The unique skewed generating tree of order k evaluating to ``p``.
 
+    Raises ``NotBaxter`` before it checks k, so a caller can tell a
+    non-Baxter input from an invalid order without a second Baxter test.
     Returns None when some skeleton of the recursive canonical decomposition
     is longer than k, i.e. when p is not an order-k permutation.
     """
+    if not is_baxter(p):
+        raise NotBaxter("generating trees exist only for Baxter permutations")
     if k < 2:
         raise ValueError("order k must be >= 2")
-    if not is_baxter(p):
-        raise ValueError("generating trees exist only for Baxter permutations")
     parts: list[Decomposition] = []
     for d in _decompositions(p):
         if len(d.skeleton) > k:
@@ -174,45 +156,3 @@ def format_tree(t: GenTree) -> str:
 
     return _fold(t, ".", node_text)
 
-
-def parse_tree(text: str) -> GenTree:
-    """Parse the prefix form, enforcing arity, label and skew invariants."""
-    tokens = _tokenize(text)
-    open_nodes: list[tuple[Permutation, list[GenTree]]] = []  # label, children so far
-    i = 0
-    while True:
-        if i == len(tokens):
-            raise ValueError("unterminated node: missing ')'" if open_nodes else "unexpected end of tree text")
-        tok = tokens[i]
-        i += 1
-        if tok == "(":
-            j = i
-            while j < len(tokens) and tokens[j] not in "().":
-                j += 1
-            if j == i:
-                raise ValueError("node is missing its label")
-            open_nodes.append((Permutation.parse(" ".join(tokens[i:j])), []))
-            i = j
-            continue
-        if tok == ".":
-            done: GenTree = Leaf()
-        elif tok == ")" and open_nodes:
-            label, children = open_nodes.pop()
-            done = Node(label, tuple(children))
-        else:
-            raise ValueError(f"expected '(' or '.', got {tok!r}")
-        if not open_nodes:
-            break
-        open_nodes[-1][1].append(done)
-    if i < len(tokens):
-        raise ValueError(f"trailing content after tree: {' '.join(tokens[i:])}")
-    check_tree(done)
-    return done
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = re.findall(r"\d+|\S", text)
-    bad = next((tok for tok in tokens if not (tok.isdigit() or tok in "().")), None)
-    if bad is not None:
-        raise ValueError(f"unexpected character {bad!r} in tree text")
-    return tokens

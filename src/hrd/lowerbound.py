@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import CapExceeded
+from . import CapExceeded
 from .floorplan import MosaicFloorplan, bp2fp, fp2bp
 from .gentree import hierarchy_order, is_ihrd
 from .perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple
@@ -35,16 +35,8 @@ def safe_sites(p: Permutation) -> list[int]:
     which sits outside the theorem's setting).
     """
     n = len(p)
-    m = p.position_of(n)
+    m = p.values.index(n) + 1
     return sorted({0, m - 1, m, n})
-
-
-def insert_max(p: Permutation, site: int) -> Permutation:
-    """Insert value n+1 at a safe slot."""
-    if site not in safe_sites(p):
-        raise ValueError(f"slot {site} is not a safe insertion site of {p}")
-    vals = p.values
-    return Permutation(vals[:site] + (len(p) + 1,) + vals[site:])
 
 
 def _canonical_sites(p: Permutation) -> list[int]:
@@ -101,14 +93,18 @@ class FamilyReport:
     none_hrd_below: bool
 
 
-def insertion_family(k: int, n: int, seed: Permutation) -> FamilyReport:
+def insertion_family(k: int, n: int, seed: Permutation | None = None) -> FamilyReport:
     """Enumerate the family and verify every member by the predicates.
 
-    The count is the number of traces: distinct choice vectors give distinct
+    The cap on n - k is checked before anything is built, so the default
+    seed (``grown_seed(k)``) is grown only for a family within the cap.  The
+    count is the number of traces: distinct choice vectors give distinct
     members, since deleting the maximum recovers the parent and the site.
     """
     if n - k > _MAX_INSERTIONS:
         raise CapExceeded(f"a family of 3^{n - k} traces exceeds the cap 3^{_MAX_INSERTIONS}")
+    if seed is None:
+        seed = grown_seed(k)
     count = 0
     all_baxter = all_hrd_k = none_below = True
     for trace in insertion_traces(k, n, seed):

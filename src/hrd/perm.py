@@ -53,18 +53,6 @@ class Permutation:
             raise ValueError(f"malformed permutation text: {text!r}") from None
         return cls(values)
 
-    def at(self, pos: int) -> int:
-        """Value at a one-indexed position."""
-        if not 1 <= pos <= len(self.values):
-            raise IndexError(f"position {pos} out of range 1..{len(self.values)}")
-        return self.values[pos - 1]
-
-    def position_of(self, value: int) -> int:
-        """One-indexed position holding ``value``."""
-        if not 1 <= value <= len(self.values):
-            raise ValueError(f"value {value} out of range 1..{len(self.values)}")
-        return self.values.index(value) + 1
-
     def compact(self) -> str:
         """Digit-string form, defined for n <= 9 only."""
         if len(self.values) > 9:
@@ -175,6 +163,13 @@ def inflate(skeleton: Permutation, children: list[Permutation] | tuple[Permutati
     return Permutation(tuple(out))
 
 
+def _child(vals: tuple[int, ...], start: int, stop: int, lo: int) -> Permutation:
+    """The pattern of ``vals[start:stop]``, whose values are the interval
+    starting at ``lo``: every block of a decomposition is one.  Built via a
+    list, since a tuple grown from a generator keeps spare capacity."""
+    return Permutation(tuple([v - lo + 1 for v in vals[start:stop]]))
+
+
 def _rank_seq(seq: tuple[int, ...]) -> tuple[int, ...]:
     order = sorted(range(len(seq)), key=seq.__getitem__)
     ranks = [0] * len(seq)
@@ -200,20 +195,14 @@ def decompose(p: Permutation) -> Decomposition:
         if vals[j - 1] > mx:
             mx = vals[j - 1]
         if mx == j:
-            return Decomposition(
-                Permutation.of(1, 2),
-                (Permutation(_rank_seq(vals[:j])), Permutation(_rank_seq(vals[j:]))),
-            )
+            return Decomposition(Permutation.of(1, 2), (_child(vals, 0, j, 1), _child(vals, j, n, j + 1)))
 
     mn = n + 1
     for j in range(1, n):
         if vals[j - 1] < mn:
             mn = vals[j - 1]
         if mn == n - j + 1:
-            return Decomposition(
-                Permutation.of(2, 1),
-                (Permutation(_rank_seq(vals[:j])), Permutation(_rank_seq(vals[j:]))),
-            )
+            return Decomposition(Permutation.of(2, 1), (_child(vals, 0, j, mn), _child(vals, j, n, 1)))
 
     bounds: list[tuple[int, int]] = []
     i = 0
@@ -231,9 +220,8 @@ def decompose(p: Permutation) -> Decomposition:
         bounds.append((i, best))
         i = best + 1
     mins = tuple(min(vals[a : b + 1]) for a, b in bounds)
-    skeleton = Permutation(_rank_seq(mins))
-    children = tuple(Permutation(_rank_seq(vals[a : b + 1])) for a, b in bounds)
-    return Decomposition(skeleton, children)
+    children = tuple(_child(vals, a, b + 1, lo) for (a, b), lo in zip(bounds, mins))
+    return Decomposition(Permutation(_rank_seq(mins)), children)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
-"""Reference implementations and exhaustive enumerations used only by the
-tests.  Each answers a question a production route answers, by another
+"""Reference implementations, exhaustive enumerations and small
+conveniences used only by the tests.  Each reference answers a question a production route answers, by another
 method; what each takes from the library:
 
 - ``baxter_quadruple_scan``, ``contains_pattern_bruteforce``,
@@ -24,6 +24,13 @@ method; what each takes from the library:
   node's label with the production ``bp2fp`` and embeds the children
   through ``_canonical_from_entries``.  ``enumerate_trees`` takes its labels
   from ``hrd.perm.simple_baxter_perms`` and builds every tree bottom-up.
+- ``single_room``, ``validate``, ``reflect``, ``delete_corner``,
+  ``insert_max``, ``leaf_count``, ``check_tree`` and ``parse_tree`` are not
+  references but small conveniences the tests use and no command needs.
+  ``delete_corner`` mirrors the floorplan so that the corner is at the top
+  left and deletes with the production ``_delete_top_left``, so the
+  per-corner tests exercise the deletion that ``fp2bp`` runs.
+  ``parse_tree`` reads the text that ``hrd tree`` prints.
 - ``count_hrd_literal`` uses no library code; ``count_hrd`` takes the s_l
   from ``hrd.counting.skeleton_counts``, as ``count_hrd_fast`` does, but
   sums every composition directly; ``oracle_count`` scans S_n with
@@ -34,7 +41,9 @@ method; what each takes from the library:
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import replace
+from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -43,15 +52,123 @@ from hrd.floorplan import (
     MosaicFloorplan,
     Room,
     _canonical_from_entries,
+    _corner_index,
+    _delete_top_left,
     _deletion_labels,
+    _entries,
     _grid,
+    _mirror_entries,
     _require_valid,
     bp2fp,
     canonical,
-    single_room,
+    diagnose,
 )
-from hrd.gentree import _P12, _P21, GenTree, Leaf, Node, _fold, hierarchy_order
-from hrd.perm import Permutation, _is_baxter_seq, _is_simple_seq, simple_baxter_perms
+from hrd.gentree import GenTree, Leaf, Node, _fold, _nodes, hierarchy_order
+from hrd.lowerbound import safe_sites
+from hrd.perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple, simple_baxter_perms
+
+_P12 = Permutation.of(1, 2)
+_P21 = Permutation.of(2, 1)
+
+
+def single_room() -> MosaicFloorplan:
+    return MosaicFloorplan(1, 1, (Room(1, 0, 0, 1, 1),))
+
+
+def validate(f: MosaicFloorplan) -> bool:
+    """True iff the tiling is exact and every interior junction is a T."""
+    return not diagnose(f)
+
+
+def reflect(f: MosaicFloorplan, *, flip_x: bool = False, flip_y: bool = False) -> MosaicFloorplan:
+    return _canonical_from_entries(_mirror_entries(f.width, f.height, _entries(f.rooms), flip_x, flip_y))
+
+
+class Corner(Enum):
+    TOP_LEFT = "top-left"
+    TOP_RIGHT = "top-right"
+    BOTTOM_LEFT = "bottom-left"
+    BOTTOM_RIGHT = "bottom-right"
+
+
+def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
+    """Remove the block sitting at ``corner``; the result has n-1 rooms and
+    rank-canonical coordinates."""
+    _require_valid(f)
+    fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
+    fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
+    at = _corner_index(_mirror_entries(f.width, f.height, _entries(f.rooms), fx, fy))
+    _delete_top_left(at, f.width, f.height)
+    rest = ((rid, x1, y1, x2, y2) for (x1, y1), (x2, y2, rid) in at.items())
+    return _canonical_from_entries(_mirror_entries(f.width, f.height, rest, fx, fy))
+
+
+def insert_max(p: Permutation, site: int) -> Permutation:
+    """Insert value n+1 at a safe slot."""
+    if site not in safe_sites(p):
+        raise ValueError(f"slot {site} is not a safe insertion site of {p}")
+    vals = p.values
+    return Permutation(vals[:site] + (len(p) + 1,) + vals[site:])
+
+
+def leaf_count(t: GenTree) -> int:
+    return _fold(t, 1, lambda node, counts: sum(counts))
+
+
+def check_tree(t: GenTree, k: int | None = None) -> None:
+    """Raise ValueError if ``t`` violates the generating-tree invariants."""
+    for node in _nodes(t):
+        m = len(node.label)
+        if m < 2:
+            raise ValueError("node labels must be non-singleton")
+        if k is not None and m > k:
+            raise ValueError(f"node label {node.label} exceeds order {k}")
+        if not (is_simple(node.label) and is_baxter(node.label)):
+            raise ValueError(f"node label {node.label} is not simple Baxter")
+        if len(node.children) != m:
+            raise ValueError(f"node labeled {node.label} needs {m} children, has {len(node.children)}")
+        first = node.children[0]
+        if node.label in (_P12, _P21) and isinstance(first, Node) and first.label == node.label:
+            raise ValueError(f"skew rule: restricted child of {node.label} repeats the label")
+
+
+def parse_tree(text: str) -> GenTree:
+    """Parse the prefix form of ``hrd.gentree.format_tree``, enforcing
+    arity, label and skew invariants.  A loop, so deep trees parse."""
+    tokens = re.findall(r"\d+|\S", text)
+    bad = next((tok for tok in tokens if not (tok.isdigit() or tok in "().")), None)
+    if bad is not None:
+        raise ValueError(f"unexpected character {bad!r} in tree text")
+    open_nodes: list[tuple[Permutation, list[GenTree]]] = []  # label, children so far
+    i = 0
+    while True:
+        if i == len(tokens):
+            raise ValueError("unterminated node: missing ')'" if open_nodes else "unexpected end of tree text")
+        tok = tokens[i]
+        i += 1
+        if tok == "(":
+            j = i
+            while j < len(tokens) and tokens[j] not in "().":
+                j += 1
+            if j == i:
+                raise ValueError("node is missing its label")
+            open_nodes.append((Permutation.parse(" ".join(tokens[i:j])), []))
+            i = j
+            continue
+        if tok == ".":
+            done: GenTree = Leaf()
+        elif tok == ")" and open_nodes:
+            label, children = open_nodes.pop()
+            done = Node(label, tuple(children))
+        else:
+            raise ValueError(f"expected '(' or '.', got {tok!r}")
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(done)
+    if i < len(tokens):
+        raise ValueError(f"trailing content after tree: {' '.join(tokens[i:])}")
+    check_tree(done)
+    return done
 
 
 def baxter_quadruple_scan(values) -> bool:
@@ -436,7 +553,7 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
     """
 
     def embed(node: Node, kids: list[MosaicFloorplan]) -> MosaicFloorplan:
-        base = bp2fp(node.label)
+        base = {r.id: r for r in bp2fp(node.label).rooms}
         # scale the base grid so each room can host its child's interior
         # lines on globally unused coordinates
         kx = sum(c.width - 1 for c in kids) + 1
@@ -445,7 +562,7 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
         ids = itertools.count(1)
         entries: list[tuple] = []
         for pos, child in enumerate(kids):
-            room = base.room(node.label.values[pos])
+            room = base[node.label.values[pos]]
 
             def map_x(cx: int, room=room, child=child, off=off_x) -> int:
                 if cx == 0:

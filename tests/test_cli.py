@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from hrd import cli, gentree, lowerbound
 from hrd.cli import main, run
 from hrd.counting import load_table, memo_dir
-from hrd.perm import Permutation
+from hrd.perm import Permutation, is_baxter
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
-from hrd.gentree import is_ihrd, parse_tree, perm_of_tree
+from hrd.gentree import is_ihrd, perm_of_tree
+
+from oracles import parse_tree
 
 
 def invoke(capsys, *argv):
@@ -129,6 +132,13 @@ class TestCount:
         assert out == expected and len(out) == 685
         assert limit_after == 640
 
+    def test_unwritable_memo_is_skipped(self, capsys, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("HRD_MEMO_DIR", str(blocker / "memo"))
+        assert invoke(capsys, "count", "--k", "5", "--n", "10") == (0, "296078\n", "")
+        assert invoke(capsys, "sequence", "--k", "2", "--max", "3") == (0, "1\n2\n6\n", "")
+
     def test_order_beyond_census_cap(self, capsys):
         code, out, _ = invoke(capsys, "count", "--k", "11", "--n", "20", "--no-memo")
         assert code == 0 and out == "24535415330662\n"
@@ -228,6 +238,24 @@ class TestDecomposeAndTree:
         code, out, _ = invoke(capsys, "tree", "2413", "--k", "5")
         assert code == 1 and "Baxter" in out
 
+    def test_tree_order_errors_keep_their_exit_codes(self, capsys):
+        code, out, err = invoke(capsys, "tree", "41352", "--k", "1")
+        assert (code, out) == (2, "") and "order k must be >= 2" in err
+        assert invoke(capsys, "tree", "2413", "--k", "1") == (1, "no order-1 tree: not a Baxter permutation\n", "")
+
+    def test_tree_checks_baxter_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return is_baxter(p)
+
+        monkeypatch.setattr(gentree, "is_baxter", counted)
+        monkeypatch.setattr(cli, "is_baxter", counted)
+        assert invoke(capsys, "tree", "451362", "--k", "5")[0] == 0
+        assert invoke(capsys, "tree", "2413", "--k", "5")[0] == 1
+        assert len(calls) == 2
+
 
 class TestLowerboundCommand:
     def test_report(self, capsys):
@@ -257,6 +285,14 @@ class TestLowerboundCommand:
         code, out, _ = invoke(capsys, "lowerbound", "--k", "11", "--n", "12")
         assert code == 0
         assert " k=11 n=12 family=3 expected=3 " in out and out.rstrip().endswith("none_hrd_k-1=True")
+
+    def test_cap_is_checked_before_the_default_seed_is_grown(self, capsys, monkeypatch):
+        def no_seed(k):
+            raise AssertionError(f"grown_seed({k}) was called")
+
+        monkeypatch.setattr(lowerbound, "grown_seed", no_seed)
+        code, out, err = invoke(capsys, "lowerbound", "--k", "61", "--n", "80")
+        assert (code, out) == (3, "") and "exceeds the cap 3^10" in err
 
     def test_force_is_not_an_option(self, capsys):
         code, _, err = invoke(capsys, "lowerbound", "--k", "5", "--n", "6", "--force")

@@ -9,32 +9,32 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hrd.perm import Permutation, inflate, is_baxter
 from hrd.floorplan import (
-    Corner,
     FloorplanFormatError,
     MosaicFloorplan,
     Room,
     bp2fp,
     canonical,
-    delete_corner,
     diagnose,
     format_floorplan,
     fp2bp,
     parse_floorplan,
-    reflect,
     render,
-    single_room,
-    validate,
 )
 from oracles import (
+    Corner,
     blocks_bruteforce,
     bp2fp_by_reinsertion,
+    delete_corner,
     delete_top_left_by_scan,
     deletion_labels_by_scan,
     diagnose_by_grid,
     enumerate_floorplans,
     enveloping_rectangles,
     fp2bp_by_scan,
+    reflect,
     seg_room_relations,
+    single_room,
+    validate,
 )
 
 P = Permutation.parse
@@ -188,7 +188,8 @@ class TestBp2fp:
     def test_room_ids_are_deletion_labels(self):
         wheel = bp2fp(P("41352"))
         assert sorted(r.id for r in wheel.rooms) == [1, 2, 3, 4, 5]
-        assert wheel.room(1).x1 == 0 and wheel.room(1).y1 == 0
+        first = next(r for r in wheel.rooms if r.id == 1)
+        assert first.x1 == 0 and first.y1 == 0
 
     @given(st.integers(2, 8).flatmap(lambda n: st.permutations(tuple(range(1, n + 1)))))
     @settings(max_examples=250, deadline=None)
@@ -368,8 +369,6 @@ class TestSegRoomRelations:
 
     def test_wheel_invariant_under_half_turn(self):
         wheel = bp2fp(P("41352"))
-        from hrd.floorplan import reflect
-
         rotated = reflect(wheel, flip_x=True, flip_y=True)
         assert seg_room_relations(wheel) == seg_room_relations(rotated)
 

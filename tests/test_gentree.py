@@ -2,22 +2,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hrd.perm import Permutation
-from hrd.floorplan import fp2bp, validate
+from hrd.floorplan import fp2bp
 from hrd.gentree import (
     Leaf,
     Node,
-    check_tree,
     format_tree,
     hierarchy_order,
     is_hrd,
     is_ihrd,
-    leaf_count,
-    parse_tree,
     perm_of_tree,
     tree_of_perm,
 )
 
-from oracles import enumerate_trees, floorplan_of_tree
+from oracles import check_tree, enumerate_trees, floorplan_of_tree, leaf_count, parse_tree, validate
 
 P = Permutation.parse
 

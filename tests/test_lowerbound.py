@@ -2,18 +2,17 @@ import pytest
 
 from hrd import lowerbound
 from hrd.perm import Permutation, is_baxter, simple_baxter_perms
-from hrd.floorplan import bp2fp, fp2bp, validate
+from hrd.floorplan import bp2fp, fp2bp
 from hrd.gentree import is_hrd, is_ihrd
 from hrd.lowerbound import (
     format_report,
     grow_ihrd,
-    insert_max,
     insertion_family,
     insertion_traces,
     safe_sites,
 )
 
-from oracles import contains_pattern_bruteforce
+from oracles import contains_pattern_bruteforce, insert_max, validate
 
 P = Permutation.parse
 

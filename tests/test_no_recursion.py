@@ -53,3 +53,8 @@ def test_only_bounded_recursion_in_the_library():
 def test_gentree_imports_no_floorplan_and_counting_no_gentree():
     assert "floorplan" not in sibling_imports("gentree")
     assert "gentree" not in sibling_imports("counting")
+
+
+def test_lowerbound_imports_no_counting():
+    # CapExceeded lives in the package itself, so raising it costs no import
+    assert "counting" not in sibling_imports("lowerbound")

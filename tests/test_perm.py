@@ -52,14 +52,7 @@ class TestPermutationType:
         ten = Permutation(tuple(range(1, 11)))
         with pytest.raises(ValueError):
             ten.compact()
-        assert P("10 2 3 4 5 6 7 8 9 1").at(1) == 10
-
-    def test_indexing_is_one_based(self):
-        p = P("41352")
-        assert p.at(1) == 4 and p.at(5) == 2
-        assert p.position_of(5) == 4
-        with pytest.raises(IndexError):
-            p.at(0)
+        assert P("10 2 3 4 5 6 7 8 9 1").values[0] == 10
 
 
 class TestIsBaxter:
