@@ -30,8 +30,19 @@ the same equation, B = x + 2B^2/(1+B) + S(B), and reverting B gives S
 (``skeleton_counts``) at any length.  ``census_simple_baxter`` lists the
 skeletons themselves, up to length ``DEFAULT_CENSUS_CAP`` = 11.
 
-``count_hrd_fast`` is the one counting route: it grows each power column
-by one incremental convolution per term, O(k n^2) in all.
+``count_hrd_fast`` is the one counting route.  T is algebraic (x = G(T) with
+G(u) = u - 2u^2/(1+u) - S(u)), so t_n satisfies a linear recurrence with
+polynomial coefficients.  ``_recurrences`` commits one such operator per
+skeleton series, certified exactly: for k = 2..9 (the series of k = 2..4
+coincide, and so do those of 5 and 6) a table longer than ``_CONVOLVED``
+takes t_1..t_n0 from the convolution below and each later term from the
+recurrence of order r <= 10 and degree d <= 45: r + 1 products of a count
+by a polynomial value, one exact division, and (r + 1) d additions that
+step the values from n to n + 1.  Every other table runs the convolution
+alone, which grows each power column by one incremental convolution per
+term, O(k n^2) in all.  The
+operators are derived and certified by ``scripts/derive_recurrences.py``;
+``tests/test_recurrences.py`` runs the certificate on every one.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 
@@ -52,6 +64,11 @@ from .perm import Permutation, simple_baxter_perms
 
 # longest census: listing length 11 takes about 5 s, length 12 about 30 s
 DEFAULT_CENSUS_CAP = 11
+
+# tables this short come from the convolution alone: up to here it is about
+# as fast as the recurrence (k = 9, n = 80: 6 ms against 5 ms), and a short
+# table never loads ``_recurrences``, which takes about 6 ms to compile
+_CONVOLVED = 80
 
 _MEMO_ENV = "HRD_MEMO_DIR"
 _TABLE_VERSION = "hrd-count-table v2"
@@ -119,18 +136,15 @@ class CountTable:
         return self.t[1:]
 
 
-def count_hrd_fast(k: int, n_max: int) -> CountTable:
-    """t_1..t_{n_max} for order k in O(k * n_max^2) arithmetic ops.
+def _convolve(s: Mapping[int, int], n_max: int) -> list[int]:
+    """[0, t_1, ..., t_{n_max}] for the skeleton counts s, in O(L * n_max^2)
+    arithmetic ops, L the longest skeleton length.
 
     P_j = T^j is grown incrementally as the convolution of P_{j-1} with t;
     every term it needs is available because a j-part composition of m only
-    uses t-values at indices <= m - j + 1.  Skeletons longer than n_max
-    cannot occur, so the order only matters up to n_max.
+    uses t-values at indices <= m - j + 1.
     """
-    _check_order_and_size(k, n_max)
-    s = skeleton_counts(min(k, n_max))
     top = max(s, default=1) + 1
-
     t = [0, 1]
     powers: dict[int, list[int]] = {j: [0, 0] for j in range(2, top + 1)}
     for m in range(2, n_max + 1):
@@ -139,7 +153,51 @@ def count_hrd_fast(k: int, n_max: int) -> CountTable:
             powers[j].append(sum(prev[m - i] * t[i] for i in range(1, m)))
         skel = sum(mult * (powers[l][m] + powers[l + 1][m]) for l, mult in s.items())
         t.append(t[m - 1] + powers[2][m] + skel)
-    return CountTable(k, t)
+    return t
+
+
+def _recur(t: list[int], operator: tuple[tuple[int, ...], ...], n_max: int) -> None:
+    """Extend t to t_{n_max} by sum_i p_i(n) t_{n+i} = 0, i = 0..r, solved for
+    t_{n+r}: r + 1 products of a count by a value of some p_i per term.
+
+    ``operator`` holds the forward differences of each p_i at n = 0, so
+    stepping every p_i from n to n + 1 takes deg p_i additions.  A division
+    that leaves a remainder raises ArithmeticError, so a damaged operator
+    cannot return a wrong integer.
+    """
+    r = len(operator) - 1
+    tables = [list(d) for d in operator]
+    for n in range(n_max - r + 1):
+        if n + r >= len(t):
+            q, rem = divmod(-sum(d[0] * t[n + i] for i, d in enumerate(tables[:r])), tables[r][0])
+            if rem:
+                raise ArithmeticError(f"the committed operator leaves a remainder at t_{n + r}")
+            t.append(q)
+        tables = [list(map(add, d, d[1:])) + d[-1:] for d in tables]
+
+
+def count_hrd_fast(k: int, n_max: int) -> CountTable:
+    """t_1..t_{n_max} for order k.
+
+    The orders with a committed operator in ``_recurrences`` (keyed by the
+    longest skeleton length, or 2 when there is none) take t_1..t_{n0} from
+    ``_convolve`` and every later term from the operator's recurrence
+    (``_recur``).  Any other order runs ``_convolve`` alone, O(k * n_max^2).
+    Skeletons longer than n_max cannot occur, so the order only matters up
+    to n_max.
+    """
+    _check_order_and_size(k, n_max)
+    s = skeleton_counts(min(k, n_max))
+    if n_max > _CONVOLVED:
+        from ._recurrences import OPERATORS
+
+        entry = OPERATORS.get(max(s, default=2))
+        if entry is not None and n_max > entry[0]:
+            n0, operator = entry
+            t = _convolve(s, n0)
+            _recur(t, operator, n_max)
+            return CountTable(k, t)
+    return CountTable(k, _convolve(s, n_max))
 
 
 def sequence(k: int, n_max: int) -> list[int]:

@@ -12,6 +12,7 @@ three canonical sites per step makes the family size exactly 3**(n-k).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -139,24 +140,39 @@ def format_report(r: FamilyReport) -> str:
     )
 
 
-def _one_point_extensions(vals: tuple[int, ...]) -> set[tuple[int, ...]]:
-    n = len(vals)
-    out: set[tuple[int, ...]] = set()
-    for v in range(1, n + 2):
+def _one_point_extensions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations one longer than ``vals`` that contain it, in
+    lexicographic order, built one at a time.
+
+    For one new value v the sites already come in order: inserting v before
+    a larger entry precedes every later site, and before a smaller one
+    follows them.  So the sites before larger entries go left to right, then
+    the end, then the sites before smaller entries right to left; heapq.merge
+    interleaves the streams of the n + 1 values, and equal neighbours are
+    dropped.
+    """
+
+    def with_value(v: int) -> Iterator[tuple[int, ...]]:
         bumped = tuple(x + 1 if x >= v else x for x in vals)
-        for pos in range(n + 1):
-            out.add(bumped[:pos] + (v,) + bumped[pos:])
-    return out
+        n = len(bumped)
+        sites = [i for i in range(n) if v < bumped[i]] + [n] + [i for i in reversed(range(n)) if v > bumped[i]]
+        for i in sites:
+            yield bumped[:i] + (v,) + bumped[i:]
+
+    last = None
+    for q in heapq.merge(*(with_value(v) for v in range(1, len(vals) + 2))):
+        if q != last:
+            yield q
+            last = q
 
 
 def _grow_label(label: Permutation) -> Permutation:
-    """A simple Baxter permutation two longer that contains ``label``.
-
-    Deterministic search over all two-element extensions, lexicographically.
-    """
-    for q1 in sorted(_one_point_extensions(label.values)):
-        for q2 in sorted(_one_point_extensions(q1)):
-            if _is_baxter_seq(q2) and _is_simple_seq(q2):
+    """A simple Baxter permutation two longer that contains ``label``: the
+    first hit over the one-point extensions of ``label`` and then of each of
+    those, both lexicographically."""
+    for q1 in _one_point_extensions(label.values):
+        for q2 in _one_point_extensions(q1):
+            if _is_simple_seq(q2) and _is_baxter_seq(q2):
                 return Permutation(q2)
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
 

@@ -36,6 +36,10 @@ method; what each takes from the library:
   sums every composition directly; ``oracle_count`` scans S_n with
   ``hrd.perm._is_baxter_seq`` and ``hrd.gentree.hierarchy_order`` and shares
   nothing with the recurrence.
+- ``grow_label_by_sorting`` builds and sorts every one- and two-point
+  extension and tests Baxter before simple; the production
+  ``hrd.lowerbound._grow_label`` merges the extensions lazily in the same
+  order.  Both test with ``hrd.perm._is_baxter_seq`` and ``_is_simple_seq``.
 """
 
 from __future__ import annotations
@@ -109,6 +113,28 @@ def insert_max(p: Permutation, site: int) -> Permutation:
         raise ValueError(f"slot {site} is not a safe insertion site of {p}")
     vals = p.values
     return Permutation(vals[:site] + (len(p) + 1,) + vals[site:])
+
+
+def one_point_extensions_by_set(vals: tuple[int, ...]) -> set[tuple[int, ...]]:
+    n = len(vals)
+    out: set[tuple[int, ...]] = set()
+    for v in range(1, n + 2):
+        bumped = tuple(x + 1 if x >= v else x for x in vals)
+        for pos in range(n + 1):
+            out.add(bumped[:pos] + (v,) + bumped[pos:])
+    return out
+
+
+def grow_label_by_sorting(label: Permutation) -> Permutation:
+    """A simple Baxter permutation two longer that contains ``label``.
+
+    Deterministic search over all two-element extensions, lexicographically.
+    """
+    for q1 in sorted(one_point_extensions_by_set(label.values)):
+        for q2 in sorted(one_point_extensions_by_set(q1)):
+            if _is_baxter_seq(q2) and _is_simple_seq(q2):
+                return Permutation(q2)
+    raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
 
 
 def leaf_count(t: GenTree) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hrd import lowerbound
@@ -5,14 +7,22 @@ from hrd.perm import Permutation, is_baxter, simple_baxter_perms
 from hrd.floorplan import bp2fp, fp2bp
 from hrd.gentree import is_hrd, is_ihrd
 from hrd.lowerbound import (
+    _one_point_extensions,
     format_report,
     grow_ihrd,
+    grown_seed,
     insertion_family,
     insertion_traces,
     safe_sites,
 )
 
-from oracles import contains_pattern_bruteforce, insert_max, validate
+from oracles import (
+    contains_pattern_bruteforce,
+    grow_label_by_sorting,
+    insert_max,
+    one_point_extensions_by_set,
+    validate,
+)
 
 P = Permutation.parse
 
@@ -117,6 +127,24 @@ class TestInsertionFamily:
             "seed=41352 k=5 n=6 family=3 expected=3 "
             "all_baxter=True all_hrd_k=True none_hrd_k-1=True"
         )
+
+
+class TestGrownSeed:
+    def test_extensions_come_sorted_and_distinct(self):
+        for n in range(1, 6):
+            for vals in itertools.permutations(range(1, n + 1)):
+                assert list(_one_point_extensions(vals)) == sorted(one_point_extensions_by_set(vals))
+
+    def test_same_seeds_as_sorting_every_extension(self):
+        # grown_seed(k) walks the chain from 41352 (odd k) or 24853617 (even
+        # k >= 8) one _grow_label step at a time
+        assert grown_seed(2) == P("12") and grown_seed(5) == P("41352")
+        for p, top in ((P("41352"), 41), (P("24853617"), 40)):
+            while len(p) < top:
+                grown = grow_label_by_sorting(p)
+                assert lowerbound._grow_label(p) == grown
+                p = grown
+            assert grown_seed(top) == p
 
 
 class TestGrowIhrd:

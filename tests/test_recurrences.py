@@ -1,0 +1,82 @@
+"""The committed P-recursions of ``hrd._recurrences``: each passes its exact
+certificate, and the count table they drive equals the convolution."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hrd import counting
+from hrd._recurrences import OPERATORS
+from hrd.counting import _convolve, count_hrd_fast, skeleton_counts
+
+ROOT = Path(__file__).parent.parent
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("derive_recurrences", ROOT / "scripts" / "derive_recurrences.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+derive = _load_script()
+
+
+def test_the_required_classes_are_committed():
+    assert {2, 5, 7, 8, 9} <= set(OPERATORS)
+    for c in OPERATORS:
+        assert c == max(skeleton_counts(c), default=2)
+
+
+@pytest.mark.parametrize("c", sorted(OPERATORS))
+def test_every_committed_operator_is_certified(c):
+    assert derive.certify(c, OPERATORS[c])
+
+
+def test_the_certificate_rejects_a_damaged_operator():
+    n0, diffs = OPERATORS[5]
+    damaged = [list(D) for D in diffs]
+    damaged[2][3] += 1
+    assert not derive.certify(5, (n0, tuple(map(tuple, damaged))))
+    # a start below the order would index t at n <= 0
+    assert not derive.certify(5, (len(diffs) - 2, diffs))
+
+
+def test_no_root_from():
+    # (n - 3)(n + 2)
+    assert not derive.no_root_from((-6, -1, 1), 0)
+    assert derive.no_root_from((-6, -1, 1), 4)
+    assert derive.no_root_from((5, 0, 1), -10)
+
+
+def test_equal_to_the_convolution_for_every_order_to_300():
+    for k in range(2, 14):
+        assert count_hrd_fast(k, 300).t == _convolve(skeleton_counts(k), 300), k
+
+
+def test_a_damaged_operator_raises_instead_of_returning_a_count(monkeypatch):
+    n0, diffs = OPERATORS[5]
+    damaged = [list(D) for D in diffs]
+    damaged[0][1] += 1
+    monkeypatch.setitem(OPERATORS, 5, (n0, tuple(map(tuple, damaged))))
+    with pytest.raises(ArithmeticError):
+        count_hrd_fast(5, counting._CONVOLVED + 1)
+
+
+def test_short_tables_do_not_load_the_operators():
+    code = (
+        "import sys\n"
+        "import hrd.counting as c\n"
+        "assert 'hrd._recurrences' not in sys.modules\n"
+        "assert c.sequence(9, 1) == [1]\n"
+        "assert 'hrd._recurrences' not in sys.modules\n"
+        f"c.sequence(9, {counting._CONVOLVED + 1})\n"
+        "assert 'hrd._recurrences' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
