@@ -13,7 +13,4 @@ class CapExceeded(RuntimeError):
     """A request whose cost exceeds a configured cap (the CLI exits 3)."""
 
 
-# after CapExceeded, so that submodules can import it from here
-from .perm import Permutation  # noqa: E402
-
-__all__ = ["CapExceeded", "Permutation", "__version__"]
+__all__ = ["CapExceeded", "__version__"]

@@ -227,13 +227,13 @@ def memo_dir() -> Path:
     return Path.home() / ".cache" / "hrd"
 
 
-def _table_path(k: int, directory: Path | None = None) -> Path:
-    return (directory or memo_dir()) / f"count-table-k{k}.txt"
+def _table_path(k: int) -> Path:
+    return memo_dir() / f"count-table-k{k}.txt"
 
 
-def save_table(table: CountTable, directory: Path | None = None) -> Path:
+def save_table(table: CountTable) -> Path:
     """Write ``m t_m`` lines under a header naming k and the CRC-32 of the body."""
-    path = _table_path(table.k, directory)
+    path = _table_path(table.k)
     path.parent.mkdir(parents=True, exist_ok=True)
     with unlimited_int_text():
         body = "".join(f"{m} {table.t[m]}\n" for m in range(1, table.n_max + 1))
@@ -245,14 +245,14 @@ def _table_header(k: int, body: str) -> str:
     return f"# {_TABLE_VERSION} k={k} crc32={zlib.crc32(body.encode()):08x}\n"
 
 
-def load_table(k: int, directory: Path | None = None) -> CountTable | None:
+def load_table(k: int) -> CountTable | None:
     """Load a persisted table; return None for a missing, stale or corrupt
     file, which the caller then recomputes.
 
     The header must name this k and the CRC-32 of the body, so any edit to
     the file after ``save_table`` is caught in time linear in its size.
     """
-    path = _table_path(k, directory)
+    path = _table_path(k)
     try:
         header, _, body = path.read_text().partition("\n")
         if header + "\n" != _table_header(k, body):
@@ -271,17 +271,17 @@ def load_table(k: int, directory: Path | None = None) -> CountTable | None:
     return CountTable(k, t)
 
 
-def ensure_table(k: int, n: int, *, use_memo: bool = True, directory: Path | None = None) -> CountTable:
+def ensure_table(k: int, n: int, *, use_memo: bool = True) -> CountTable:
     """Table covering 1..n for order k, going through the persistent memo:
     a stored table that covers n is returned, anything else is recomputed
     and stored.  A memo that cannot be written is skipped."""
     _check_order_and_size(k, n)
     if use_memo:
-        table = load_table(k, directory)
+        table = load_table(k)
         if table is not None and table.n_max >= n:
             return table
     table = count_hrd_fast(k, n)
     if use_memo:
         with suppress(OSError):
-            save_table(table, directory)
+            save_table(table)
     return table

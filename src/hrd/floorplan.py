@@ -1,10 +1,11 @@
 """Mosaic floorplans: integer-grid tilings of a bounding rectangle whose
 interior junctions are all T-shaped.
 
-The origin sits at the top-left corner and y grows downward.  Only the wall
-topology of a floorplan matters: corner deletions run on the coordinates
-they are given, and ``canonical`` and ``bp2fp`` return coordinates ranked to
-the distinct wall positions.  Two floorplans have the same wall topology
+The origin sits at the top-left corner and y grows downward.  A room is
+the tuple (id, x1, y1, x2, y2).  Only the wall topology of a floorplan
+matters: corner deletions run on the coordinates they are given, and
+``bp2fp`` and ``render`` rank the coordinates to the distinct wall
+positions (``_ranked``).  Two floorplans have the same wall topology
 exactly when their deletion-order label permutations (``fp2bp``) agree.
 
 Corner deletion slides one edge of the corner room until it hits the
@@ -22,7 +23,7 @@ slides at most once per axis, so a whole deletion order costs O(n)
 Insertions keep the left and top boundary rooms as two stacks, which only
 change at the corner end, and give each fresh line a coordinate counting
 down from n, since it always lies nearest the corner; one rank compression
-at the end gives the canonical floorplan, O(n log n) (``bp2fp``).
+at the end gives the ranked floorplan, O(n log n) (``bp2fp``).
 Validation, which every function taking an untrusted floorplan runs, is
 O(n) from the room areas and the parity of corner counts (``diagnose``).
 """
@@ -31,13 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 from .perm import Permutation, is_baxter
 
 
-@dataclass(frozen=True)
-class Room:
+class Room(NamedTuple):
     id: int
     x1: int
     y1: int
@@ -56,48 +56,24 @@ class MosaicFloorplan:
         return len(self.rooms)
 
 
-def _canonical_from_entries(
-    entries: Iterable[tuple],
-    extra_x: Iterable = (),
-    extra_y: Iterable = (),
-) -> MosaicFloorplan:
-    """Rank-compress arbitrary (id, x1, y1, x2, y2) rectangles.
+def _ranked(rooms: Iterable[tuple]) -> MosaicFloorplan:
+    """Rank-compress the rooms of a valid floorplan, given as rooms or as
+    (id, x1, y1, x2, y2) tuples on any ordered coordinates, onto consecutive
+    integers; rooms come out sorted by (y1, x1, id).
 
-    Coordinates may be any ordered numeric type; the result uses consecutive
-    integer ranks.
+    The rooms of a valid floorplan reach all four sides, so the bounding
+    rectangle is the ranks of their outermost coordinates.
     """
-    items = list(entries)
-    xs = sorted({e[1] for e in items} | {e[3] for e in items} | set(extra_x))
-    ys = sorted({e[2] for e in items} | {e[4] for e in items} | set(extra_y))
+    rooms = list(rooms)
+    xs = sorted({r[1] for r in rooms} | {r[3] for r in rooms})
+    ys = sorted({r[2] for r in rooms} | {r[4] for r in rooms})
     xr = {x: i for i, x in enumerate(xs)}
     yr = {y: i for i, y in enumerate(ys)}
-    rooms = tuple(
-        sorted(
-            (Room(rid, xr[x1], yr[y1], xr[x2], yr[y2]) for rid, x1, y1, x2, y2 in items),
-            key=lambda r: (r.y1, r.x1, r.id),
-        )
+    ranked = sorted(
+        (Room(rid, xr[x1], yr[y1], xr[x2], yr[y2]) for rid, x1, y1, x2, y2 in rooms),
+        key=lambda r: (r.y1, r.x1, r.id),
     )
-    return MosaicFloorplan(len(xs) - 1, len(ys) - 1, rooms)
-
-
-def canonical(f: MosaicFloorplan) -> MosaicFloorplan:
-    """Rank-canonical form; the bounding coordinates are always kept."""
-    return _canonical_from_entries(
-        ((r.id, r.x1, r.y1, r.x2, r.y2) for r in f.rooms),
-        extra_x=(0, f.width),
-        extra_y=(0, f.height),
-    )
-
-
-def _grid(g: MosaicFloorplan) -> list[list[int]]:
-    """Cell map of a canonical floorplan: grid[y][x] = room id."""
-    grid = [[None] * g.width for _ in range(g.height)]
-    for r in g.rooms:
-        for y in range(r.y1, r.y2):
-            row = grid[y]
-            for x in range(r.x1, r.x2):
-                row[x] = r.id
-    return grid
+    return MosaicFloorplan(len(xs) - 1, len(ys) - 1, tuple(ranked))
 
 
 def diagnose(f: MosaicFloorplan) -> list[str]:
@@ -153,26 +129,9 @@ def _require_valid(f: MosaicFloorplan) -> None:
         raise ValueError(f"invalid mosaic floorplan: {msgs[0]}{extra}")
 
 
-def _mirror_entries(
-    width: int, height: int, entries: Iterable[tuple], flip_x: bool, flip_y: bool
-) -> Iterator[tuple]:
-    """(id, x1, y1, x2, y2) rectangles mirrored inside a width x height box,
-    on the same coordinates."""
-    for rid, x1, y1, x2, y2 in entries:
-        if flip_x:
-            x1, x2 = width - x2, width - x1
-        if flip_y:
-            y1, y2 = height - y2, height - y1
-        yield rid, x1, y1, x2, y2
-
-
-def _entries(rooms: Iterable[Room]) -> Iterator[tuple]:
-    return ((r.id, r.x1, r.y1, r.x2, r.y2) for r in rooms)
-
-
-def _corner_index(entries: Iterable[tuple]) -> dict[tuple[int, int], tuple[int, int, int]]:
+def _corner_index(rooms: Iterable[tuple]) -> dict[tuple[int, int], tuple[int, int, int]]:
     """Top-left corner (x1, y1) -> (x2, y2, id) of every room."""
-    return {(x1, y1): (x2, y2, rid) for rid, x1, y1, x2, y2 in entries}
+    return {(x1, y1): (x2, y2, rid) for rid, x1, y1, x2, y2 in rooms}
 
 
 def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int, height: int) -> int:
@@ -230,9 +189,9 @@ def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int
     return rid
 
 
-def _top_left_order(width: int, height: int, entries: Iterable[tuple]) -> list[int]:
+def _top_left_order(width: int, height: int, rooms: Iterable[tuple]) -> list[int]:
     """Room ids of a valid floorplan in top-left deletion order; O(n)."""
-    at = _corner_index(entries)
+    at = _corner_index(rooms)
     order = [_delete_top_left(at, width, height) for _ in range(len(at) - 1)]
     order.append(at[0, 0][2])
     return order
@@ -240,7 +199,7 @@ def _top_left_order(width: int, height: int, entries: Iterable[tuple]) -> list[i
 
 def _deletion_labels(g: MosaicFloorplan) -> dict[int, int]:
     """room id -> top-left deletion label (1..n) of a valid floorplan."""
-    order = _top_left_order(g.width, g.height, _entries(g.rooms))
+    order = _top_left_order(g.width, g.height, g.rooms)
     return {rid: label for label, rid in enumerate(order, 1)}
 
 
@@ -255,7 +214,8 @@ def fp2bp(f: MosaicFloorplan) -> Permutation:
     """
     _require_valid(f)
     labels = _deletion_labels(f)
-    mirror = _mirror_entries(f.width, f.height, _entries(f.rooms), False, True)
+    h = f.height
+    mirror = ((rid, x1, h - y2, x2, h - y1) for rid, x1, y1, x2, y2 in f.rooms)
     return Permutation(tuple(labels[rid] for rid in _top_left_order(f.width, f.height, mirror)))
 
 
@@ -333,7 +293,7 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
         lefts.append(label)
         top_slot[label] = len(tops)
         tops.append(label)
-    return _canonical_from_entries((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
+    return _ranked((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
 
 
 class FloorplanFormatError(ValueError):
@@ -391,49 +351,32 @@ def format_floorplan(f: MosaicFloorplan) -> str:
 
 
 def render(f: MosaicFloorplan) -> str:
-    """ASCII drawing on the canonical grid, room ids at rectangle centers;
-    a grid cell is 6 characters wide and 2 lines high."""
+    """ASCII drawing on the ranked grid, room ids at rectangle centers; a
+    grid cell is 6 characters wide and 2 lines high.
+
+    Each room draws its outline, '-' along the top and bottom and '|' along
+    the sides, and then '+' at its corners.  A grid point that both a
+    horizontal and a vertical wall touch is a T-junction or a box corner,
+    and so a corner of some room.
+    """
     _require_valid(f)
     cell_width, cell_height = 6, 2
-    g = canonical(f)
-    grid = _grid(g)
-    W, H = g.width, g.height
-
-    def hwall(x: int, y: int) -> bool:
-        return y == 0 or y == H or grid[y - 1][x] != grid[y][x]
-
-    def vwall(x: int, y: int) -> bool:
-        return x == 0 or x == W or grid[y][x - 1] != grid[y][x]
-
-    cols = W * cell_width + 1
-    rows = H * cell_height + 1
-    canvas = [[" "] * cols for _ in range(rows)]
-    for y in range(H + 1):
-        for x in range(W):
-            if hwall(x, y):
-                for c in range(x * cell_width + 1, (x + 1) * cell_width):
-                    canvas[y * cell_height][c] = "-"
-    for x in range(W + 1):
-        for y in range(H):
-            if vwall(x, y):
-                for rr in range(y * cell_height + 1, (y + 1) * cell_height):
-                    canvas[rr][x * cell_width] = "|"
-    for y in range(H + 1):
-        for x in range(W + 1):
-            hl = x > 0 and hwall(x - 1, y)
-            hr = x < W and hwall(x, y)
-            vu = y > 0 and vwall(x, y - 1)
-            vd = y < H and vwall(x, y)
-            if (hl or hr) and (vu or vd):
-                canvas[y * cell_height][x * cell_width] = "+"
-            elif hl or hr:
-                canvas[y * cell_height][x * cell_width] = "-"
-            elif vu or vd:
-                canvas[y * cell_height][x * cell_width] = "|"
-    for r in g.rooms:
+    g = _ranked(f.rooms)
+    canvas = [[" "] * (g.width * cell_width + 1) for _ in range(g.height * cell_height + 1)]
+    boxes = [(r.x1 * cell_width, r.y1 * cell_height, r.x2 * cell_width, r.y2 * cell_height) for r in g.rooms]
+    for left, top, right, bottom in boxes:
+        for col in range(left + 1, right):
+            canvas[top][col] = canvas[bottom][col] = "-"
+        for row in range(top + 1, bottom):
+            canvas[row][left] = canvas[row][right] = "|"
+    # after every edge: a T-junction lies inside an edge of the room across it
+    for left, top, right, bottom in boxes:
+        for row in (top, bottom):
+            canvas[row][left] = canvas[row][right] = "+"
+    for r, (left, top, right, bottom) in zip(g.rooms, boxes):
         text = str(r.id)
-        row = (r.y1 + r.y2) * cell_height // 2
-        col = (r.x1 + r.x2) * cell_width // 2 - len(text) // 2
+        row = canvas[(top + bottom) // 2]
+        col = (left + right) // 2 - len(text) // 2
         for i, ch in enumerate(text):
-            canvas[row][col + i] = ch
+            row[col + i] = ch
     return "\n".join("".join(row).rstrip() for row in canvas) + "\n"

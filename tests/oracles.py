@@ -10,26 +10,31 @@ method; what each takes from the library:
   ``simple_baxter_perms`` prunes prefixes instead.
 - ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
   ``_insert_top_left`` below, which rank-compresses through
-  ``hrd.floorplan._canonical_from_entries``; the production ``bp2fp``
-  places its rooms on two boundary stacks instead.
+  ``hrd.floorplan._ranked``; the production ``bp2fp`` places its rooms on
+  two boundary stacks instead.
 - ``delete_top_left_by_scan``, ``deletion_labels_by_scan`` and
   ``fp2bp_by_scan`` scan every room per deletion and use no library code.
-- ``diagnose_by_grid`` fills the cell grid of ``hrd.floorplan.canonical``,
-  which the production ``diagnose`` does not call.
+- ``canonical`` rank-compresses any floorplan, valid or not, keeping the
+  box, and ``_grid`` fills its cell grid; the library has neither.
+  ``diagnose_by_grid`` checks that grid for overlaps, gaps and '+'
+  junctions, where the production ``diagnose`` counts areas and corner
+  parity.  ``render_by_grid`` decides each grid point and wall unit from
+  the grid, where the production ``render`` draws each room's outline.
 - ``seg_room_relations`` and ``enveloping_rectangles`` validate with
   ``hrd.floorplan._require_valid``, scan the cell grid of ``canonical`` and
   ``_grid``, and name rooms by ``_deletion_labels``, the labels ``fp2bp``
   assigns.
 - ``floorplan_of_tree`` folds a tree with ``hrd.gentree._fold``, draws each
   node's label with the production ``bp2fp`` and embeds the children
-  through ``_canonical_from_entries``.  ``enumerate_trees`` takes its labels
+  through ``_ranked``.  ``enumerate_trees`` takes its labels
   from ``hrd.perm.simple_baxter_perms`` and builds every tree bottom-up.
 - ``single_room``, ``validate``, ``reflect``, ``delete_corner``,
   ``insert_max``, ``leaf_count``, ``check_tree`` and ``parse_tree`` are not
   references but small conveniences the tests use and no command needs.
-  ``delete_corner`` mirrors the floorplan so that the corner is at the top
-  left and deletes with the production ``_delete_top_left``, so the
-  per-corner tests exercise the deletion that ``fp2bp`` runs.
+  ``delete_corner`` mirrors the floorplan with ``_mirrored``, as
+  ``reflect`` does, so that the corner is at the top left, and deletes
+  with the production ``_delete_top_left``, so the per-corner tests
+  exercise the deletion that ``fp2bp`` runs.
   ``parse_tree`` reads the text that ``hrd tree`` prints.
 - ``count_hrd_literal`` uses no library code; ``count_hrd`` takes the s_l
   from ``hrd.counting.skeleton_counts``, as ``count_hrd_fast`` does, but
@@ -46,25 +51,20 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from hrd.counting import _check_order_and_size, skeleton_counts
 from hrd.floorplan import (
     MosaicFloorplan,
     Room,
-    _canonical_from_entries,
     _corner_index,
     _delete_top_left,
     _deletion_labels,
-    _entries,
-    _grid,
-    _mirror_entries,
+    _ranked,
     _require_valid,
     bp2fp,
-    canonical,
     diagnose,
 )
 from hrd.gentree import GenTree, Leaf, Node, _fold, _nodes, hierarchy_order
@@ -84,8 +84,43 @@ def validate(f: MosaicFloorplan) -> bool:
     return not diagnose(f)
 
 
+def canonical(f: MosaicFloorplan) -> MosaicFloorplan:
+    """Rank-canonical form of any floorplan, valid or not; the bounding
+    coordinates are always kept."""
+    xs = sorted({0, f.width} | {r.x1 for r in f.rooms} | {r.x2 for r in f.rooms})
+    ys = sorted({0, f.height} | {r.y1 for r in f.rooms} | {r.y2 for r in f.rooms})
+    xr = {x: i for i, x in enumerate(xs)}
+    yr = {y: i for i, y in enumerate(ys)}
+    rooms = sorted(
+        (Room(r.id, xr[r.x1], yr[r.y1], xr[r.x2], yr[r.y2]) for r in f.rooms),
+        key=lambda r: (r.y1, r.x1, r.id),
+    )
+    return MosaicFloorplan(len(xs) - 1, len(ys) - 1, tuple(rooms))
+
+
+def _grid(g: MosaicFloorplan) -> list[list[int]]:
+    """Cell map of a canonical floorplan: grid[y][x] = room id."""
+    grid = [[None] * g.width for _ in range(g.height)]
+    for r in g.rooms:
+        for y in range(r.y1, r.y2):
+            row = grid[y]
+            for x in range(r.x1, r.x2):
+                row[x] = r.id
+    return grid
+
+
+def _mirrored(width: int, height: int, rooms: Iterable[tuple], flip_x: bool, flip_y: bool) -> Iterator[Room]:
+    """Rooms mirrored inside a width x height box, on the same coordinates."""
+    for rid, x1, y1, x2, y2 in rooms:
+        if flip_x:
+            x1, x2 = width - x2, width - x1
+        if flip_y:
+            y1, y2 = height - y2, height - y1
+        yield Room(rid, x1, y1, x2, y2)
+
+
 def reflect(f: MosaicFloorplan, *, flip_x: bool = False, flip_y: bool = False) -> MosaicFloorplan:
-    return _canonical_from_entries(_mirror_entries(f.width, f.height, _entries(f.rooms), flip_x, flip_y))
+    return _ranked(_mirrored(f.width, f.height, f.rooms, flip_x, flip_y))
 
 
 class Corner(Enum):
@@ -101,10 +136,10 @@ def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
     _require_valid(f)
     fx = corner in (Corner.TOP_RIGHT, Corner.BOTTOM_RIGHT)
     fy = corner in (Corner.BOTTOM_LEFT, Corner.BOTTOM_RIGHT)
-    at = _corner_index(_mirror_entries(f.width, f.height, _entries(f.rooms), fx, fy))
+    at = _corner_index(_mirrored(f.width, f.height, f.rooms, fx, fy))
     _delete_top_left(at, f.width, f.height)
     rest = ((rid, x1, y1, x2, y2) for (x1, y1), (x2, y2, rid) in at.items())
-    return _canonical_from_entries(_mirror_entries(f.width, f.height, rest, fx, fy))
+    return _ranked(_mirrored(f.width, f.height, rest, fx, fy))
 
 
 def insert_max(p: Permutation, site: int) -> Permutation:
@@ -316,7 +351,7 @@ def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> Mosa
             x1 = 1 if r.id in covered else 2 * r.x1
             entries.append((r.id, x1, r.y1, 2 * r.x2, r.y2))
         entries.append((new_id, 0, 0, 1, y_star))
-    return _canonical_from_entries(entries)
+    return _ranked(entries)
 
 
 def bp2fp_by_reinsertion(p):
@@ -364,9 +399,9 @@ def delete_top_left_by_scan(width, height, rooms):
         if r.id == b.id:
             continue
         if vertical and r.y1 == b.y2 and r.x2 <= b.x2:
-            r = replace(r, y1=0)
+            r = r._replace(y1=0)
         elif not vertical and r.x1 == b.x2 and r.y2 <= b.y2:
-            r = replace(r, x1=0)
+            r = r._replace(x1=0)
         rest.append(r)
     return rest, b.id
 
@@ -443,6 +478,56 @@ def diagnose_by_grid(f: MosaicFloorplan) -> list[str]:
             if nw != ne and sw != se and nw != sw and ne != se:
                 msgs.append(f"'+' junction at grid point ({x},{y})")
     return msgs
+
+
+def render_by_grid(f: MosaicFloorplan) -> str:
+    """Reference ``render``: decides every grid point and every unit of wall
+    from the canonical cell grid, a wall lying between two different rooms
+    or on the box; O(W*H) on the canonical grid."""
+    _require_valid(f)
+    cell_width, cell_height = 6, 2
+    g = canonical(f)
+    grid = _grid(g)
+    W, H = g.width, g.height
+
+    def hwall(x: int, y: int) -> bool:
+        return y == 0 or y == H or grid[y - 1][x] != grid[y][x]
+
+    def vwall(x: int, y: int) -> bool:
+        return x == 0 or x == W or grid[y][x - 1] != grid[y][x]
+
+    cols = W * cell_width + 1
+    rows = H * cell_height + 1
+    canvas = [[" "] * cols for _ in range(rows)]
+    for y in range(H + 1):
+        for x in range(W):
+            if hwall(x, y):
+                for c in range(x * cell_width + 1, (x + 1) * cell_width):
+                    canvas[y * cell_height][c] = "-"
+    for x in range(W + 1):
+        for y in range(H):
+            if vwall(x, y):
+                for rr in range(y * cell_height + 1, (y + 1) * cell_height):
+                    canvas[rr][x * cell_width] = "|"
+    for y in range(H + 1):
+        for x in range(W + 1):
+            hl = x > 0 and hwall(x - 1, y)
+            hr = x < W and hwall(x, y)
+            vu = y > 0 and vwall(x, y - 1)
+            vd = y < H and vwall(x, y)
+            if (hl or hr) and (vu or vd):
+                canvas[y * cell_height][x * cell_width] = "+"
+            elif hl or hr:
+                canvas[y * cell_height][x * cell_width] = "-"
+            elif vu or vd:
+                canvas[y * cell_height][x * cell_width] = "|"
+    for r in g.rooms:
+        text = str(r.id)
+        row = (r.y1 + r.y2) * cell_height // 2
+        col = (r.x1 + r.x2) * cell_width // 2 - len(text) // 2
+        for i, ch in enumerate(text):
+            canvas[row][col + i] = ch
+    return "\n".join("".join(row).rstrip() for row in canvas) + "\n"
 
 
 def enumerate_floorplans(n: int) -> Iterator[MosaicFloorplan]:
@@ -608,7 +693,7 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
                 entries.append((next(ids), map_x(cr.x1), map_y(cr.y1), map_x(cr.x2), map_y(cr.y2)))
             off_x += child.width - 1
             off_y += child.height - 1
-        return _canonical_from_entries(entries)
+        return _ranked(entries)
 
     return _fold(t, single_room(), embed)
 

@@ -201,6 +201,26 @@ class TestFloorplanCommands:
         for rid in "12345":
             assert rid in out
 
+    def test_render_ranks_spaced_coordinates(self, capsys, tmp_path):
+        path = tmp_path / "spaced.fp"
+        path.write_text(
+            "20 25 7\n123 4 3 17 11\n70 0 0 17 3\n9 9 14 20 25\n8 0 3 4 25\n"
+            "55 9 11 17 14\n16 17 0 20 14\n4 4 11 9 25\n"
+        )
+        code, out, _ = invoke(capsys, "render", str(path))
+        assert code == 0
+        assert out == (
+            "+-----------------+-----+\n"
+            "|       70        |     |\n"
+            "+-----+-----------+     |\n"
+            "|     |    123    | 16  |\n"
+            "|     +-----+-----+     |\n"
+            "|  8  |     | 55  |     |\n"
+            "|     |  4  +-----+-----+\n"
+            "|     |     |     9     |\n"
+            "+-----+-----+-----------+\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "fp2bp", "/nonexistent/file.fp")
         assert code == 2

@@ -155,51 +155,51 @@ class TestMemo:
         monkeypatch.setenv("HRD_MEMO_DIR", str(tmp_path / "prime"))
         assert memo_dir() == tmp_path / "prime"
 
-    def test_save_load_roundtrip(self, tmp_path):
+    def test_save_load_roundtrip(self):
         table = count_hrd_fast(5, 12)
-        save_table(table, tmp_path)
-        loaded = load_table(5, tmp_path)
+        assert save_table(table).parent == memo_dir()
+        loaded = load_table(5)
         assert loaded is not None
         assert loaded.t == table.t
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
-    def test_roundtrip_beyond_the_int_text_limit(self, tmp_path):
+    def test_roundtrip_beyond_the_int_text_limit(self):
         table = count_hrd_fast(2, 900)
         assert len(str(table.t[900])) == 684
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            save_table(table, tmp_path)
-            loaded = load_table(2, tmp_path)
+            save_table(table)
+            loaded = load_table(2)
             limit_after = sys.get_int_max_str_digits()
         finally:
             sys.set_int_max_str_digits(old)
         assert loaded is not None and loaded.t == table.t
         assert limit_after == 640
 
-    def test_missing_table(self, tmp_path):
-        assert load_table(3, tmp_path) is None
+    def test_missing_table(self):
+        assert load_table(3) is None
 
-    def test_corrupt_table_discarded(self, tmp_path):
-        path = save_table(count_hrd_fast(5, 8), tmp_path)
+    def test_corrupt_table_discarded(self):
+        path = save_table(count_hrd_fast(5, 8))
         path.write_text(path.read_text().replace(" 92\n", " 93\n"))
-        assert load_table(5, tmp_path) is None
+        assert load_table(5) is None
 
-    def test_tampered_final_count_discarded(self, tmp_path):
-        path = save_table(count_hrd_fast(5, 8), tmp_path)
+    def test_tampered_final_count_discarded(self):
+        path = save_table(count_hrd_fast(5, 8))
         lines = path.read_text().splitlines()
         m, t = lines[-1].split()
         lines[-1] = f"{m} {int(t) + 1}"
         path.write_text("\n".join(lines) + "\n")
-        assert load_table(5, tmp_path) is None
+        assert load_table(5) is None
 
-    def test_ensure_table_extends_persisted_state(self, tmp_path):
-        first = ensure_table(5, 6, directory=tmp_path)
-        second = ensure_table(5, 14, directory=tmp_path)
+    def test_ensure_table_extends_persisted_state(self):
+        first = ensure_table(5, 6)
+        second = ensure_table(5, 14)
         assert second.t[: 7] == first.t
         assert second.t[14] == count_hrd(5, 14)
-        assert load_table(5, tmp_path).n_max == 14
+        assert load_table(5).n_max == 14
 
-    def test_ensure_table_without_memo_leaves_no_file(self, tmp_path):
-        ensure_table(5, 6, use_memo=False, directory=tmp_path)
-        assert load_table(5, tmp_path) is None
+    def test_ensure_table_without_memo_leaves_no_file(self):
+        ensure_table(5, 6, use_memo=False)
+        assert load_table(5) is None

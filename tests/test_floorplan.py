@@ -1,7 +1,6 @@
 import bisect
 import itertools
 import random
-from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -13,7 +12,6 @@ from hrd.floorplan import (
     MosaicFloorplan,
     Room,
     bp2fp,
-    canonical,
     diagnose,
     format_floorplan,
     fp2bp,
@@ -24,6 +22,7 @@ from oracles import (
     Corner,
     blocks_bruteforce,
     bp2fp_by_reinsertion,
+    canonical,
     delete_corner,
     delete_top_left_by_scan,
     deletion_labels_by_scan,
@@ -32,6 +31,7 @@ from oracles import (
     enveloping_rectangles,
     fp2bp_by_scan,
     reflect,
+    render_by_grid,
     seg_room_relations,
     single_room,
     validate,
@@ -285,9 +285,9 @@ def perturbed(rng: random.Random, f: MosaicFloorplan):
     rooms = list(f.rooms)
     r = rng.choice(rooms)
     yield [q for q in rooms if q is not r]
-    yield rooms + [replace(rng.choice(rooms), id=max(q.id for q in rooms) + 1)]
+    yield rooms + [rng.choice(rooms)._replace(id=max(q.id for q in rooms) + 1)]
     r, edge = rng.choice(rooms), rng.choice(("x1", "y1", "x2", "y2"))
-    moved = replace(r, **{edge: getattr(r, edge) + rng.choice((-1, 1))})
+    moved = r._replace(**{edge: getattr(r, edge) + rng.choice((-1, 1))})
     yield [moved if q is r else q for q in rooms]
     shifts = [
         (r, dx, dy)
@@ -464,3 +464,32 @@ class TestRender:
     def test_walls_are_closed(self):
         for line in render(bp2fp(P("2475316"))).splitlines():
             assert line == line.rstrip()
+
+    def test_single_room_drawing(self):
+        assert render(single_room()) == "+-----+\n|  1  |\n+-----+\n"
+
+    def test_wheel_drawing(self):
+        assert render(bp2fp(P("41352"))) == (
+            "+-----+-----------+\n"
+            "|     |     2     |\n"
+            "|  1  +-----+-----+\n"
+            "|     |  3  |     |\n"
+            "+-----+-----+  5  |\n"
+            "|     4     |     |\n"
+            "+-----------+-----+\n"
+        )
+
+    def test_outlines_match_the_grid_over_small_baxter_permutations(self, baxter_by_n):
+        seen = 0
+        for perms in baxter_by_n.values():
+            for p in perms:
+                f = bp2fp(p)
+                assert render(f) == render_by_grid(f), p
+                seen += 1
+        assert seen == 2619
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_outlines_match_the_grid_on_respaced_inputs(self, seed):
+        rng = random.Random(seed)
+        f = respaced(rng, bp2fp(random_baxter(rng, 40)))
+        assert render(f) == render_by_grid(f)

@@ -1,6 +1,7 @@
 """Every public function and class that ``hrd`` defines at module level, and
 every public method of those classes, is used by the library, the scripts
-or the benchmark, not only by the tests.  Code that only tests need belongs
+or the benchmark, not only by the tests; every private module-level
+function is used by the library itself.  Code that only tests need belongs
 in ``tests/oracles.py``.
 
 The check is static and by name: a function or class counts as used where
@@ -18,25 +19,36 @@ ROOT = Path(__file__).parent.parent
 USERS = (LIBRARY, ROOT / "scripts", ROOT / "perfbench")
 
 
-def unused(library: dict[str, str], users: dict[str, str]) -> set[str]:
-    """Qualified names of the public definitions in ``library`` (module name
-    -> source) that nothing in ``library`` or ``users`` refers to."""
-    names: dict[str, list[tuple[str, int]]] = {}  # name -> (module, line) of reads
+def _reads(sources: dict[str, str]) -> tuple[dict[str, list[tuple[str, int]]], set[str]]:
+    """name -> (module, line) of every read of it as a name or attribute,
+    and the names looked up as attributes."""
+    names: dict[str, list[tuple[str, int]]] = {}
     attrs: set[str] = set()
-    for module, text in {**users, **library}.items():
+    for module, text in sources.items():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
                 names.setdefault(node.attr, []).append((module, node.lineno))
                 attrs.add(node.attr)
+    return names, attrs
+
+
+def _read_outside(node: ast.stmt, module: str, names: dict[str, list[tuple[str, int]]]) -> bool:
+    inside = range(node.lineno, node.end_lineno + 1)
+    return any(m != module or line not in inside for m, line in names.get(node.name, ()))
+
+
+def unused(library: dict[str, str], users: dict[str, str]) -> set[str]:
+    """Qualified names of the public definitions in ``library`` (module name
+    -> source) that nothing in ``library`` or ``users`` refers to."""
+    names, attrs = _reads({**users, **library})
     found = set()
     for module, text in library.items():
         for node in ast.parse(text).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            inside = range(node.lineno, node.end_lineno + 1)
-            if not any(m != module or line not in inside for m, line in names.get(node.name, ())):
+            if not _read_outside(node, module, names):
                 found.add(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
                 found |= {
@@ -45,6 +57,18 @@ def unused(library: dict[str, str], users: dict[str, str]) -> set[str]:
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in attrs
                 }
     return found
+
+
+def unused_private(library: dict[str, str]) -> set[str]:
+    """Qualified names of the private module-level functions in ``library``
+    that nothing in ``library`` refers to outside their own definition."""
+    names, _ = _reads(library)
+    return {
+        f"{module}.{node.name}"
+        for module, text in library.items()
+        for node in ast.parse(text).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not _read_outside(node, module, names)
+    }
 
 
 def _sources(directory: Path) -> dict[str, str]:
@@ -74,3 +98,22 @@ def test_the_check_sees_unused_names():
     library["lib"] += "class Perm:\n    def at(self): pass\n"
     users["app"] += "Perm()\n"
     assert unused(library, users) == {"lib.recursive", "lib.Box.put", "lib.Perm.at"}
+
+
+def test_every_private_function_has_a_caller_in_the_library():
+    library = _sources(LIBRARY)
+    assert unused_private(library) == set()
+
+
+def test_the_check_sees_private_functions_only_tests_read():
+    library = {
+        "lib": "def _helper(): pass\n"
+        "def _recursive(): _recursive()\n"
+        "def _stranded(): pass\n"
+        "def public(): return _helper()\n",
+        "other": "from lib import _recursive\n",
+    }
+    # the import names it but is no read; a read in another module counts
+    assert unused_private(library) == {"lib._recursive", "lib._stranded"}
+    library["other"] += "_recursive()\n"
+    assert unused_private(library) == {"lib._stranded"}
