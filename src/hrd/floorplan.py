@@ -350,9 +350,18 @@ def format_floorplan(f: MosaicFloorplan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell_width(f: MosaicFloorplan) -> int:
+    """6, or the length of the longest id plus 2 when that exceeds 5: an
+    id of length L centred in a room one cell wide then starts and ends
+    inside its walls."""
+    longest = max(len(str(r.id)) for r in f.rooms)
+    return 6 if longest <= 5 else longest + 2
+
+
 def render(f: MosaicFloorplan) -> str:
     """ASCII drawing on the ranked grid, room ids at rectangle centers; a
-    grid cell is 6 characters wide and 2 lines high.
+    grid cell is 2 lines high and 6 characters wide, or the longest id plus
+    2 when some id does not fit in the 5 columns between two walls.
 
     Each room draws its outline, '-' along the top and bottom and '|' along
     the sides, and then '+' at its corners.  A grid point that both a
@@ -360,7 +369,7 @@ def render(f: MosaicFloorplan) -> str:
     and so a corner of some room.
     """
     _require_valid(f)
-    cell_width, cell_height = 6, 2
+    cell_width, cell_height = _cell_width(f), 2
     g = _ranked(f.rooms)
     canvas = [[" "] * (g.width * cell_width + 1) for _ in range(g.height * cell_height + 1)]
     boxes = [(r.x1 * cell_width, r.y1 * cell_height, r.x2 * cell_width, r.y2 * cell_height) for r in g.rooms]

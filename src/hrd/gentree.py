@@ -8,9 +8,15 @@ first-child slot of a node labeled 12 (resp. 21) may not itself be labeled
 12 (resp. 21).  With that rule the tree for a permutation is unique and is
 exactly its recursive canonical decomposition.
 
-The tree functions share one iterative post-order fold (``_fold``), and node
-equality, hashing and repr go through the text form it builds, so none
-recurses on an input's nesting depth.
+The permutation side is one decomposition walk (``_walk``) over index
+ranges of the permutation's values: each node costs one prefix scan up to
+its first sum cut, or O(size * blocks) when its skeleton is longer than 2,
+and no node copies its children.  ``tree_of_perm``, ``is_hrd`` and
+``hierarchy_order`` read that walk.  The tree side is one iterative
+post-order fold (``_fold``); ``perm_of_tree`` takes subtree sizes from it
+and then places every leaf top-down.  Node equality, hashing and repr go
+through the text form the fold builds, so nothing recurses on an input's
+nesting depth.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar, Union
 
-from .perm import Decomposition, Permutation, decompose, inflate, is_baxter, is_simple
-
-_P1 = Permutation.of(1)
+from .perm import Permutation, _split, is_baxter, is_simple
 
 
 class NotBaxter(ValueError):
@@ -80,8 +84,39 @@ def _fold(t: GenTree, leaf_value: V, combine: Callable[[Node, list[V]], V]) -> V
 
 
 def perm_of_tree(t: GenTree) -> Permutation:
-    """Inflate every node's label by its children's permutations; a leaf is 1."""
-    return _fold(t, _P1, lambda node, kids: inflate(node.label, kids))
+    """Every node's label inflated by its children's permutations; a leaf is 1.
+
+    Subtree sizes come bottom-up from ``_fold``.  Then, top-down, each node
+    gives its children their first position and lowest value, child i's
+    values starting above those of the children with smaller label values,
+    and each leaf writes its one entry.
+    """
+    size: dict[int, int] = {}
+
+    def count(node: Node, kids: list[int]) -> int:
+        m = len(node.label)
+        if len(kids) != m:
+            raise ValueError(f"skeleton of length {m} needs {m} children, got {len(kids)}")
+        size[id(node)] = n = sum(kids)
+        return n
+
+    out = [1] * _fold(t, 1, count)
+    stack = [] if isinstance(t, Leaf) else [(t, 0, 1)]  # (node, first position, lowest value)
+    while stack:
+        node, pos, val = stack.pop()
+        label = node.label.values
+        sizes = [1 if isinstance(c, Leaf) else size[id(c)] for c in node.children]
+        low = [0] * len(label)
+        for slot in sorted(range(len(label)), key=label.__getitem__):
+            low[slot] = val
+            val += sizes[slot]
+        for child, m, v in zip(node.children, sizes, low):
+            if isinstance(child, Leaf):
+                out[pos] = v
+            else:
+                stack.append((child, pos, v))
+            pos += m
+    return Permutation(tuple(out))
 
 
 def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
@@ -96,34 +131,33 @@ def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
         raise NotBaxter("generating trees exist only for Baxter permutations")
     if k < 2:
         raise ValueError("order k must be >= 2")
-    parts: list[Decomposition] = []
-    for d in _decompositions(p):
-        if len(d.skeleton) > k:
+    parts = []
+    for skeleton, kids in _walk(p):
+        if len(skeleton) > k:
             return None
-        parts.append(d)
+        parts.append((skeleton, kids))
     built: list[GenTree] = []
-    for d in reversed(parts):
+    for skeleton, kids in reversed(parts):
         # later siblings were built first, so the first child is on top
-        kids = tuple(Leaf() if len(c) == 1 else built.pop() for c in d.children)
-        built.append(Node(d.skeleton, kids))
+        built.append(Node(Permutation(skeleton), tuple(Leaf() if b - a == 1 else built.pop() for a, b, _ in kids)))
     return built[0] if built else Leaf()
 
 
-def _decompositions(p: Permutation) -> Iterator[Decomposition]:
-    """The decomposition of every non-singleton part of p's recursive
-    canonical decomposition, parents first and children left to right.
+def _walk(p: Permutation) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+    """``_split`` of every non-singleton part of p's recursive canonical
+    decomposition, parents first and children left to right.
 
     Iterative, so nesting depth is unbounded; lazy, so a caller that stops
-    early decomposes nothing further.
+    early splits nothing further.
     """
-    stack = [p]
+    vals = p.values
+    stack = [(0, len(vals), 1)]
     while stack:
-        q = stack.pop()
-        if len(q) == 1:
-            continue
-        d = decompose(q)
-        yield d
-        stack.extend(reversed(d.children))
+        a, b, lo = stack.pop()
+        if b - a > 1:
+            skeleton, kids = _split(vals, a, b, lo)
+            yield skeleton, kids
+            stack.extend(reversed(kids))
 
 
 def is_hrd(p: Permutation, k: int) -> bool:
@@ -132,7 +166,7 @@ def is_hrd(p: Permutation, k: int) -> bool:
         raise ValueError("order k must be >= 2")
     if not is_baxter(p):
         return False
-    return all(len(d.skeleton) <= k for d in _decompositions(p))
+    return all(len(skeleton) <= k for skeleton, _ in _walk(p))
 
 
 def is_ihrd(p: Permutation) -> bool:
@@ -144,7 +178,7 @@ def hierarchy_order(p: Permutation) -> int:
     """Smallest k for which ``is_hrd(p, k)`` holds (1 for the singleton)."""
     if not is_baxter(p):
         raise ValueError("hierarchy order is defined for Baxter permutations")
-    return max((len(d.skeleton) for d in _decompositions(p)), default=1)
+    return max((len(skeleton) for skeleton, _ in _walk(p)), default=1)
 
 
 def format_tree(t: GenTree) -> str:

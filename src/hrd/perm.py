@@ -1,5 +1,5 @@
-"""Permutation algebra: Baxter and simple predicates, inflation, and the
-canonical substitution decomposition.
+"""Permutation algebra: Baxter and simple predicates and the canonical
+substitution decomposition.
 
 Positions and values are one-indexed throughout.  A permutation of length n
 is a bijection on {1..n} kept in one-line notation, so ``41352`` sends
@@ -28,10 +28,6 @@ class Permutation:
             if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n or seen[v]:
                 raise ValueError(f"not a bijection onto 1..{n}: {self.values!r}")
             seen[v] = True
-
-    @classmethod
-    def of(cls, *values: int) -> Permutation:
-        return cls(tuple(values))
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
@@ -140,29 +136,6 @@ def is_simple(p: Permutation) -> bool:
     return _is_simple_seq(p.values)
 
 
-def inflate(skeleton: Permutation, children: list[Permutation] | tuple[Permutation, ...]) -> Permutation:
-    """Wreath product skeleton[child_1, ..., child_m].
-
-    Child i occupies consecutive positions at slot i; its values land in the
-    value range determined by the rank of skeleton value i.
-    """
-    m = len(skeleton)
-    if len(children) != m:
-        raise ValueError(f"skeleton of length {m} needs {m} children, got {len(children)}")
-    sizes = [len(c) for c in children]
-    val_off = [0] * m
-    total = 0
-    for v in range(1, m + 1):
-        slot = skeleton.values.index(v)
-        val_off[slot] = total
-        total += sizes[slot]
-    out: list[int] = []
-    for slot, child in enumerate(children):
-        off = val_off[slot]
-        out.extend(off + cv for cv in child.values)
-    return Permutation(tuple(out))
-
-
 def _child(vals: tuple[int, ...], start: int, stop: int, lo: int) -> Permutation:
     """The pattern of ``vals[start:stop]``, whose values are the interval
     starting at ``lo``: every block of a decomposition is one.  Built via a
@@ -178,6 +151,48 @@ def _rank_seq(seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def _split(vals: tuple[int, ...], a: int, b: int, lo: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """The canonical decomposition of ``vals[a:b]`` (length >= 2), whose
+    values are ``lo..lo+b-a-1``: the skeleton's values and each child's
+    ``(start, stop, lowest value)``, with nothing copied.
+
+    One prefix scan stops at the first direct-sum cut (the prefix holds the
+    lowest values) or skew-sum cut (the highest).  No range has cuts of both
+    kinds, so the first cut found is the canonical one, and its first child
+    is sum- (skew-) indecomposable.  With no cut, the maximal proper blocks
+    partition the range: O(size * blocks).
+    """
+    top = lo + b - a - 1
+    mx = mn = vals[a]
+    for j in range(a + 1, b):  # the prefix is vals[a:j]
+        if mx == lo + j - a - 1:
+            return (1, 2), [(a, j, lo), (j, b, mx + 1)]
+        if mn == top - (j - a) + 1:
+            return (2, 1), [(a, j, mn), (j, b, lo)]
+        v = vals[j]
+        if v > mx:
+            mx = v
+        elif v < mn:
+            mn = v
+
+    kids: list[tuple[int, int, int]] = []
+    i = a
+    while i < b:
+        stop, low = i + 1, vals[i]
+        mn = mx = vals[i]
+        for j in range(i + 1, b - 1 if i == a else b):  # proper blocks only
+            v = vals[j]
+            if v < mn:
+                mn = v
+            elif v > mx:
+                mx = v
+            if mx - mn == j - i:
+                stop, low = j + 1, mn
+        kids.append((i, stop, low))
+        i = stop
+    return _rank_seq(tuple(low for _, _, low in kids)), kids
+
+
 def decompose(p: Permutation) -> Decomposition:
     """The unique canonical decomposition with a simple non-singleton skeleton.
 
@@ -185,43 +200,10 @@ def decompose(p: Permutation) -> Decomposition:
     child, skew sums give 21 likewise; otherwise the maximal proper blocks
     partition the positions and their pattern is the skeleton.
     """
-    n = len(p)
-    if n < 2:
+    if len(p) < 2:
         raise ValueError("cannot decompose a singleton")
-    vals = p.values
-
-    mx = 0
-    for j in range(1, n):
-        if vals[j - 1] > mx:
-            mx = vals[j - 1]
-        if mx == j:
-            return Decomposition(Permutation.of(1, 2), (_child(vals, 0, j, 1), _child(vals, j, n, j + 1)))
-
-    mn = n + 1
-    for j in range(1, n):
-        if vals[j - 1] < mn:
-            mn = vals[j - 1]
-        if mn == n - j + 1:
-            return Decomposition(Permutation.of(2, 1), (_child(vals, 0, j, mn), _child(vals, j, n, 1)))
-
-    bounds: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        best = i
-        mn = mx = vals[i]
-        for j in range(i + 1, n):
-            v = vals[j]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if mx - mn == j - i and not (i == 0 and j == n - 1):
-                best = j
-        bounds.append((i, best))
-        i = best + 1
-    mins = tuple(min(vals[a : b + 1]) for a, b in bounds)
-    children = tuple(_child(vals, a, b + 1, lo) for (a, b), lo in zip(bounds, mins))
-    return Decomposition(Permutation(_rank_seq(mins)), children)
+    skeleton, kids = _split(p.values, 0, len(p), 1)
+    return Decomposition(Permutation(skeleton), tuple(_child(p.values, *r) for r in kids))
 
 
 @lru_cache(maxsize=None)

@@ -28,9 +28,18 @@ method; what each takes from the library:
   node's label with the production ``bp2fp`` and embeds the children
   through ``_ranked``.  ``enumerate_trees`` takes its labels
   from ``hrd.perm.simple_baxter_perms`` and builds every tree bottom-up.
+- ``decompositions_by_copies`` walks p's recursive canonical decomposition
+  by calling ``hrd.perm.decompose`` on a re-ranked copy of every part, and
+  ``tree_of_perm_by_copies`` builds the tree from it; the production walk
+  splits index ranges of p with ``_split`` and copies nothing.
+  ``perm_of_tree_by_inflation`` folds a tree with ``hrd.gentree._fold``,
+  inflating every label by copies of its children's permutations
+  (``inflate``); the production ``perm_of_tree`` places every leaf
+  top-down.
 - ``single_room``, ``validate``, ``reflect``, ``delete_corner``,
-  ``insert_max``, ``leaf_count``, ``check_tree`` and ``parse_tree`` are not
-  references but small conveniences the tests use and no command needs.
+  ``insert_max``, ``leaf_count``, ``check_tree``, ``parse_tree``,
+  ``random_tree`` and ``slicing_chain`` are not references but small
+  conveniences the tests use and no command needs.
   ``delete_corner`` mirrors the floorplan with ``_mirrored``, as
   ``reflect`` does, so that the corner is at the top left, and deletes
   with the production ``_delete_top_left``, so the per-corner tests
@@ -67,12 +76,21 @@ from hrd.floorplan import (
     bp2fp,
     diagnose,
 )
-from hrd.gentree import GenTree, Leaf, Node, _fold, _nodes, hierarchy_order
+from hrd.gentree import GenTree, Leaf, Node, NotBaxter, _fold, _nodes, hierarchy_order
 from hrd.lowerbound import safe_sites
-from hrd.perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple, simple_baxter_perms
+from hrd.perm import (
+    Decomposition,
+    Permutation,
+    _is_baxter_seq,
+    _is_simple_seq,
+    decompose,
+    is_baxter,
+    is_simple,
+    simple_baxter_perms,
+)
 
-_P12 = Permutation.of(1, 2)
-_P21 = Permutation.of(2, 1)
+_P12 = Permutation((1, 2))
+_P21 = Permutation((2, 1))
 
 
 def single_room() -> MosaicFloorplan:
@@ -230,6 +248,97 @@ def parse_tree(text: str) -> GenTree:
         raise ValueError(f"trailing content after tree: {' '.join(tokens[i:])}")
     check_tree(done)
     return done
+
+
+def random_tree(rng, n: int, labels: Iterable[Permutation]) -> GenTree:
+    """A random skewed generating tree with n leaves and labels from
+    ``labels``, which must hold 12 and 21: runs of adjacent subtrees merge
+    under a random label until one tree is left.  A 12 (21) that would take
+    a first child labeled 12 (21) becomes 21 (12)."""
+    labels = tuple(labels)
+    parts: list[GenTree] = [Leaf()] * n
+    while len(parts) > 1:
+        label = rng.choice([s for s in labels if len(s) <= len(parts)])
+        i = rng.randrange(len(parts) - len(label) + 1)
+        first = parts[i]
+        if label in (_P12, _P21) and isinstance(first, Node) and first.label == label:
+            label = _P21 if label == _P12 else _P12
+        parts[i : i + len(label)] = [Node(label, tuple(parts[i : i + len(label)]))]
+    return parts[0]
+
+
+def slicing_chain(depth: int, bottom: Permutation) -> GenTree:
+    """``depth`` nested cuts alternating 21 and 12 from the top, each with a
+    leaf first and the rest of the chain second, ending in a node labeled
+    ``bottom`` over leaves."""
+    t: GenTree = Node(bottom, (Leaf(),) * len(bottom))
+    for level in reversed(range(depth)):
+        t = Node(_P12 if level % 2 else _P21, (Leaf(), t))
+    return t
+
+
+# ------------------------------------------------ the walk by copies
+
+
+def inflate(skeleton: Permutation, children: list[Permutation] | tuple[Permutation, ...]) -> Permutation:
+    """Wreath product skeleton[child_1, ..., child_m].
+
+    Child i occupies consecutive positions at slot i; its values land in the
+    value range determined by the rank of skeleton value i.
+    """
+    m = len(skeleton)
+    if len(children) != m:
+        raise ValueError(f"skeleton of length {m} needs {m} children, got {len(children)}")
+    sizes = [len(c) for c in children]
+    val_off = [0] * m
+    total = 0
+    for v in range(1, m + 1):
+        slot = skeleton.values.index(v)
+        val_off[slot] = total
+        total += sizes[slot]
+    out: list[int] = []
+    for slot, child in enumerate(children):
+        off = val_off[slot]
+        out.extend(off + cv for cv in child.values)
+    return Permutation(tuple(out))
+
+
+def perm_of_tree_by_inflation(t: GenTree) -> Permutation:
+    """Reference ``perm_of_tree``: inflate every node's label by copies of
+    its children's permutations, bottom-up."""
+    return _fold(t, Permutation((1,)), lambda node, kids: inflate(node.label, kids))
+
+
+def decompositions_by_copies(p: Permutation) -> Iterator[Decomposition]:
+    """``decompose`` of every non-singleton part of p's recursive canonical
+    decomposition, parents first and children left to right; each child is
+    a re-ranked copy."""
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if len(q) == 1:
+            continue
+        d = decompose(q)
+        yield d
+        stack.extend(reversed(d.children))
+
+
+def tree_of_perm_by_copies(p: Permutation, k: int) -> GenTree | None:
+    """Reference ``tree_of_perm`` over ``decompositions_by_copies``."""
+    if not is_baxter(p):
+        raise NotBaxter("generating trees exist only for Baxter permutations")
+    if k < 2:
+        raise ValueError("order k must be >= 2")
+    parts: list[Decomposition] = []
+    for d in decompositions_by_copies(p):
+        if len(d.skeleton) > k:
+            return None
+        parts.append(d)
+    built: list[GenTree] = []
+    for d in reversed(parts):
+        kids = tuple(Leaf() if len(c) == 1 else built.pop() for c in d.children)
+        built.append(Node(d.skeleton, kids))
+    return built[0] if built else Leaf()
 
 
 def baxter_quadruple_scan(values) -> bool:
@@ -483,9 +592,11 @@ def diagnose_by_grid(f: MosaicFloorplan) -> list[str]:
 def render_by_grid(f: MosaicFloorplan) -> str:
     """Reference ``render``: decides every grid point and every unit of wall
     from the canonical cell grid, a wall lying between two different rooms
-    or on the box; O(W*H) on the canonical grid."""
+    or on the box; O(W*H) on the canonical grid.  Cells are 6 columns wide,
+    or the longest id plus 2 when some id is longer than 5."""
     _require_valid(f)
-    cell_width, cell_height = 6, 2
+    longest = max(len(str(r.id)) for r in f.rooms)
+    cell_width, cell_height = 6 if longest <= 5 else longest + 2, 2
     g = canonical(f)
     grid = _grid(g)
     W, H = g.width, g.height

@@ -16,7 +16,6 @@ from hrd.perm import (
     _is_baxter_seq,
     _is_simple_seq,
     decompose,
-    inflate,
     is_baxter,
     is_simple,
 )
@@ -34,6 +33,7 @@ from oracles import (
     enumerate_trees,
     enveloping_rectangles,
     floorplan_of_tree,
+    inflate,
     oracle_count,
 )
 

@@ -221,6 +221,16 @@ class TestFloorplanCommands:
             "+-----+-----+-----------+\n"
         )
 
+    @pytest.mark.parametrize("rid", ["123456789", "12345678"])
+    def test_render_widens_cells_for_long_ids(self, capsys, tmp_path, rid):
+        path = tmp_path / "long.fp"
+        path.write_text(f"1 1 1\n{rid} 0 0 1 1\n")
+        code, out, _ = invoke(capsys, "render", str(path))
+        assert code == 0
+        top, middle, bottom = out.splitlines()
+        assert middle.startswith("|" + rid) and middle.endswith("|")
+        assert top == bottom == "+" + "-" * (len(middle) - 2) + "+"
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "fp2bp", "/nonexistent/file.fp")
         assert code == 2

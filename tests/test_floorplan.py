@@ -6,7 +6,7 @@ from time import perf_counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hrd.perm import Permutation, inflate, is_baxter
+from hrd.perm import Permutation, is_baxter
 from hrd.floorplan import (
     FloorplanFormatError,
     MosaicFloorplan,
@@ -30,6 +30,7 @@ from oracles import (
     enumerate_floorplans,
     enveloping_rectangles,
     fp2bp_by_scan,
+    inflate,
     reflect,
     render_by_grid,
     seg_room_relations,
@@ -487,6 +488,17 @@ class TestRender:
                 assert render(f) == render_by_grid(f), p
                 seen += 1
         assert seen == 2619
+
+    @pytest.mark.parametrize("longest", [5, 6, 9])
+    def test_long_ids_stay_inside_their_walls(self, longest):
+        wheel = bp2fp(P("41352"))
+        ids = {r.id: int(str(r.id) * longest) for r in wheel.rooms}
+        f = MosaicFloorplan(wheel.width, wheel.height, tuple(r._replace(id=ids[r.id]) for r in wheel.rooms))
+        out = render(f)
+        assert out == render_by_grid(f)
+        assert len(out.splitlines()[0]) == 3 * (6 if longest <= 5 else longest + 2) + 1
+        assert all(out.count(str(rid)) == 1 for rid in ids.values())
+        assert all(line[0] in "|+" and line[-1] in "|+" for line in out.splitlines())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_outlines_match_the_grid_on_respaced_inputs(self, seed):

@@ -1,11 +1,17 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrd.perm import Permutation
+import hrd.perm
+from hrd.perm import Permutation, _is_baxter_seq, simple_baxter_perms
 from hrd.floorplan import fp2bp
 from hrd.gentree import (
     Leaf,
     Node,
+    NotBaxter,
+    _nodes,
     format_tree,
     hierarchy_order,
     is_hrd,
@@ -14,7 +20,18 @@ from hrd.gentree import (
     tree_of_perm,
 )
 
-from oracles import check_tree, enumerate_trees, floorplan_of_tree, leaf_count, parse_tree, validate
+from oracles import (
+    check_tree,
+    enumerate_trees,
+    floorplan_of_tree,
+    leaf_count,
+    parse_tree,
+    perm_of_tree_by_inflation,
+    random_tree,
+    slicing_chain,
+    tree_of_perm_by_copies,
+    validate,
+)
 
 P = Permutation.parse
 
@@ -144,6 +161,88 @@ class TestDeepTrees:
         assert repr(a) == repr(b) == f"Node({format_tree(a)})"
         assert a != tree_of_perm(Permutation(tuple(range(1500, 0, -1))), 2)
         assert a != Leaf() and Leaf() != a
+
+
+def _agrees_with_copies(p: Permutation, ks) -> None:
+    """tree_of_perm, is_hrd and hierarchy_order on the range walk give what
+    the walk over re-ranked copies gives, for every order in ``ks``.  One
+    walk over copies answers every k: its tree is the order-k tree for k at
+    least its longest label, and there is none below."""
+    ref = tree_of_perm_by_copies(p, max(2, len(p)))
+    order = max([len(node.label) for node in _nodes(ref)], default=1)
+    assert hierarchy_order(p) == order
+    text = format_tree(ref)
+    for k in ks:
+        t = tree_of_perm(p, k)
+        assert (None if t is None else format_tree(t)) == (text if k >= order else None), (p, k)
+        assert is_hrd(p, k) == (k >= order), (p, k)
+
+
+class TestWalkMatchesCopies:
+    """The walk over index ranges against the walk over copies."""
+
+    def test_every_permutation_up_to_length_7(self):
+        for n in range(1, 8):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p = Permutation(vals)
+                if _is_baxter_seq(vals):
+                    _agrees_with_copies(p, range(2, 10))
+                    continue
+                with pytest.raises(NotBaxter):
+                    tree_of_perm(p, 2)
+                with pytest.raises(ValueError):
+                    hierarchy_order(p)
+                assert not any(is_hrd(p, k) for k in range(2, 10))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_trees_of_800_elements(self, seed):
+        rng = random.Random(seed)
+        labels = simple_baxter_perms(2) + simple_baxter_perms(5) + simple_baxter_perms(7)[:4]
+        t = random_tree(rng, rng.randrange(780, 821), labels)
+        p = perm_of_tree_by_inflation(t)
+        assert perm_of_tree(t) == p
+        order = max(len(node.label) for node in _nodes(t))
+        _agrees_with_copies(p, range(max(2, order - 1), order + 1))
+        assert tree_of_perm(p, order) == t
+
+    def test_slicing_chain_of_2000_levels(self):
+        t = slicing_chain(2000, Permutation.parse("2475316"))
+        p = perm_of_tree_by_inflation(t)
+        assert perm_of_tree(t) == p
+        _agrees_with_copies(p, (6, 7))
+        assert tree_of_perm(p, 7) == t
+
+
+class TestNoCopies:
+    """Deterministic guard for the linear cost on deep chains: the routes
+    count their Permutation constructions, and none calls ``decompose``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        post_init = Permutation.__post_init__
+
+        def counted(self):
+            calls.append(len(self.values))
+            post_init(self)
+
+        def forbidden(p):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(Permutation, "__post_init__", counted)
+        monkeypatch.setattr(hrd.perm, "decompose", forbidden)
+        return calls
+
+    def test_chain_of_20000_levels(self, built):
+        t = slicing_chain(20000, Permutation.parse("41352"))
+        built.clear()
+        p = perm_of_tree(t)
+        assert built == [20005]
+        built.clear()
+        assert is_hrd(p, 5) and not is_hrd(p, 4)
+        assert hierarchy_order(p) == 5
+        assert built == []
+        assert tree_of_perm(p, 5) == t
 
 
 class TestEnumerateTrees:

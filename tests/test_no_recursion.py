@@ -43,6 +43,16 @@ def sibling_imports(module: str) -> set[str]:
     return found
 
 
+def sibling_names(module: str) -> set[str]:
+    """The names that ``hrd.<module>`` imports from its sibling modules."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse((LIBRARY / f"{module}.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
 def test_only_bounded_recursion_in_the_library():
     found = set()
     for path in sorted(LIBRARY.glob("*.py")):
@@ -58,3 +68,11 @@ def test_gentree_imports_no_floorplan_and_counting_no_gentree():
 def test_lowerbound_imports_no_counting():
     # CapExceeded lives in the package itself, so raising it costs no import
     assert "counting" not in sibling_imports("lowerbound")
+
+
+def test_gentree_walks_ranges_not_copies():
+    # the walk splits index ranges with perm._split; decompose and inflate
+    # build a Permutation per child
+    names = sibling_names("gentree")
+    assert "_split" in names
+    assert not names & {"decompose", "inflate"}

@@ -7,7 +7,6 @@ from hrd.counting import skeleton_counts
 from hrd.perm import (
     Permutation,
     decompose,
-    inflate,
     is_baxter,
     is_simple,
     simple_baxter_perms,
@@ -16,6 +15,7 @@ from hrd.perm import (
 from oracles import (
     baxter_quadruple_scan,
     blocks_bruteforce,
+    inflate,
     inflate_bruteforce,
     simple_baxter_perms_by_scan,
     symmetries,
