@@ -27,9 +27,9 @@ script finds one such operator per class and proves it exact:
    t_1..t_n0 from the convolution, it fixes every term the operator yields.
 
 The module stores each p_i by its forward differences at n = 0, which is
-what ``counting._recur`` steps.  On one core of a 2-vCPU VM, class 2 takes
-under 0.1 s, class 5 about 0.5 s, 7 about 6 s, 8 about 25 s, 9 about two
-minutes and 10 about five.
+what ``counting._recur`` steps, as decimal text (``module_text``).  On one
+core of a 2-vCPU VM, class 2 takes under 0.1 s, class 5 about 0.5 s, 7
+about 6 s, 8 about 25 s, 9 about two minutes and 10 about five.
 
     python3 scripts/derive_recurrences.py                  # classes 2 5 7 8 9
     python3 scripts/derive_recurrences.py --classes 2 --out ops.py
@@ -437,30 +437,32 @@ def derive(c: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def module_text(entries: dict[int, tuple[int, tuple[tuple[int, ...], ...]]]) -> str:
+    """The source of ``hrd._recurrences`` for the entries (n0, (D_0, ..., D_r))."""
     lines = [
         '"""Certified P-recursions for ``counting.count_hrd_fast``, written by',
         "``scripts/derive_recurrences.py``; do not edit.",
         "",
-        "OPERATORS[c] = (n0, (D_0, ..., D_r)) for skeleton class c (the longest",
-        "skeleton length of an order, or 2 when it has none), where",
+        "OPERATORS[c] is the text of the entry (n0, (D_0, ..., D_r)) of skeleton",
+        "class c (the longest skeleton length of an order, or 2 when it has",
+        "none): n0 on the first line, then D_i on line i + 2, its integers",
+        "separated by spaces.  The entry means",
         "",
         "    sum_{i=0..r} p_i(n) t_{n+i} = 0    for n >= n0 + 1 - r",
         "",
-        "and D_i lists the forward differences of p_i at n = 0, so that",
+        "where D_i lists the forward differences of p_i at n = 0, so that",
         "p_i(n) = sum_k D_i[k] binom(n, k).  t_1..t_n0 and the recurrence give",
-        "every count.  The certificate is ``certify`` in that script;",
+        "every count.  Text compiles far faster than integer literals, and",
+        "``counting._operator`` decodes only the classes a process uses, each",
+        "once.  The certificate is ``certify`` in that script;",
         "``tests/test_recurrences.py`` runs it.",
         '"""',
         "",
         "OPERATORS = {",
     ]
     for c, (n0, operator) in sorted(entries.items()):
-        lines += [f"    {c}: (", f"        {n0},", "        ("]
-        for p in operator:
-            lines.append("            (")
-            lines += [f"                {x}," for x in p]
-            lines.append("            ),")
-        lines += ["        ),", "    ),"]
+        lines += [f'    {c}: """', str(n0)]
+        lines += [" ".join(map(str, p)) for p in operator]
+        lines.append('""",')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -3,7 +3,11 @@
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
 validation error, 3 infeasible argument (a ``census`` longer than 11, or a
 ``lowerbound`` family of more than 3^10 traces).  Integers are printed and
-read whatever their length (see ``counting.unlimited_int_text``).
+read whatever their length (see ``hrd.unlimited_int_text``).
+
+Each command imports only the layers it runs, so ``check baxter`` loads
+``perm`` alone and ``count`` loads ``counting`` alone: start-up, not the
+combinatorics, is most of a short command's time.
 """
 
 from __future__ import annotations
@@ -11,12 +15,18 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import CapExceeded, counting, floorplan, gentree, lowerbound
-from .perm import Permutation, decompose, is_baxter, is_simple
+from . import CapExceeded, unlimited_int_text
+
+if TYPE_CHECKING:
+    from .floorplan import MosaicFloorplan
+    from .perm import Permutation
 
 
 def _perm_from_args(args: argparse.Namespace) -> Permutation:
+    from .perm import Permutation
+
     if getattr(args, "file", None):
         text = Path(args.file).read_text()
     else:
@@ -26,27 +36,39 @@ def _perm_from_args(args: argparse.Namespace) -> Permutation:
     return Permutation.parse(text)
 
 
-def _floorplan_from_file(path: str) -> floorplan.MosaicFloorplan:
-    return floorplan.parse_floorplan(Path(path).read_text())
+def _floorplan_from_file(path: str) -> MosaicFloorplan:
+    from .floorplan import parse_floorplan
+
+    return parse_floorplan(Path(path).read_text())
 
 
 def _cmd_check(args) -> int:
     p = _perm_from_args(args)
     if args.kind == "baxter":
+        from .perm import is_baxter
+
         ok = is_baxter(p)
     elif args.kind == "simple":
+        from .perm import is_simple
+
         ok = is_simple(p)
     elif args.kind == "ihrd":
-        ok = gentree.is_ihrd(p)
+        from .gentree import is_ihrd
+
+        ok = is_ihrd(p)
     else:
         if args.k is None:
             raise ValueError("check hrd requires --k")
-        ok = gentree.is_hrd(p, args.k)
+        from .gentree import is_hrd
+
+        ok = is_hrd(p, args.k)
     print("true" if ok else "false")
     return 0 if ok else 1
 
 
 def _cmd_decompose(args) -> int:
+    from .perm import decompose
+
     d = decompose(_perm_from_args(args))
     print(f"skeleton {d.skeleton}")
     for child in d.children:
@@ -55,43 +77,54 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    from .gentree import NotBaxter, format_tree, tree_of_perm
+
     p = _perm_from_args(args)
     try:
-        tree = gentree.tree_of_perm(p, args.k)
-    except gentree.NotBaxter:
+        tree = tree_of_perm(p, args.k)
+    except NotBaxter:
         print(f"no order-{args.k} tree: not a Baxter permutation")
         return 1
     if tree is None:
         print(f"no order-{args.k} tree: a skeleton exceeds length {args.k}")
         return 1
-    print(gentree.format_tree(tree))
+    print(format_tree(tree))
     return 0
 
 
 def _cmd_fp2bp(args) -> int:
-    print(floorplan.fp2bp(_floorplan_from_file(args.floorplan)))
+    from .floorplan import fp2bp
+
+    print(fp2bp(_floorplan_from_file(args.floorplan)))
     return 0
 
 
 def _cmd_bp2fp(args) -> int:
-    f = floorplan.bp2fp(_perm_from_args(args))
-    sys.stdout.write(floorplan.format_floorplan(f))
+    from .floorplan import bp2fp, format_floorplan
+
+    sys.stdout.write(format_floorplan(bp2fp(_perm_from_args(args))))
     return 0
 
 
 def _cmd_render(args) -> int:
-    sys.stdout.write(floorplan.render(_floorplan_from_file(args.floorplan)))
+    from .floorplan import render
+
+    sys.stdout.write(render(_floorplan_from_file(args.floorplan)))
     return 0
 
 
 def _cmd_count(args) -> int:
-    table = counting.ensure_table(args.k, args.n, use_memo=not args.no_memo)
+    from .counting import ensure_table
+
+    table = ensure_table(args.k, args.n, use_memo=not args.no_memo)
     print(table.t[args.n])
     return 0
 
 
 def _cmd_sequence(args) -> int:
-    table = counting.ensure_table(args.k, args.max, use_memo=not args.no_memo)
+    from .counting import ensure_table
+
+    table = ensure_table(args.k, args.max, use_memo=not args.no_memo)
     counts = table.counts()[: args.max]
     if args.csv:
         for n, c in enumerate(counts, 1):
@@ -103,7 +136,9 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    perms = counting.census_simple_baxter(args.len)
+    from .counting import census_simple_baxter
+
+    perms = census_simple_baxter(args.len)
     print(len(perms))
     if args.list:
         for p in perms:
@@ -112,16 +147,21 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
+    from .lowerbound import format_report, insertion_family
+    from .perm import Permutation
+
     seed = None if args.seed is None else Permutation.parse(args.seed)
-    report = lowerbound.insertion_family(args.k, args.n, seed)
-    print(lowerbound.format_report(report))
+    report = insertion_family(args.k, args.n, seed)
+    print(format_report(report))
     ok = report.all_baxter and report.all_hrd_k and report.none_hrd_below
     return 0 if ok else 1
 
 
 def _cmd_grow_ihrd(args) -> int:
-    grown = lowerbound.grow_ihrd(_floorplan_from_file(args.floorplan))
-    sys.stdout.write(floorplan.format_floorplan(grown))
+    from .floorplan import format_floorplan
+    from .lowerbound import grow_ihrd
+
+    sys.stdout.write(format_floorplan(grow_ihrd(_floorplan_from_file(args.floorplan))))
     return 0
 
 
@@ -210,7 +250,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        with counting.unlimited_int_text():
+        with unlimited_int_text():
             return args.func(args)
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)

@@ -40,34 +40,38 @@ recurrence of order r <= 10 and degree d <= 45: r + 1 products of a count
 by a polynomial value, one exact division, and (r + 1) d additions that
 step the values from n to n + 1.  Every other table runs the convolution
 alone, which grows each power column by one incremental convolution per
-term, O(k n^2) in all.  The
-operators are derived and certified by ``scripts/derive_recurrences.py``;
+term, O(k n^2) in all.  The operators are derived and certified by
+``scripts/derive_recurrences.py``, which commits them as decimal text;
+``_operator`` decodes a class the first time a process needs it.
 ``tests/test_recurrences.py`` runs the certificate on every one.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import zlib
-from collections.abc import Iterator, Mapping
-from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from collections.abc import Mapping
+from contextlib import suppress
 from functools import lru_cache
 from math import comb
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import CapExceeded
-from .perm import Permutation, simple_baxter_perms
+from . import CapExceeded, unlimited_int_text
+
+if TYPE_CHECKING:
+    from .perm import Permutation
 
 # longest census: listing length 11 takes about 5 s, length 12 about 30 s
 DEFAULT_CENSUS_CAP = 11
 
-# tables this short come from the convolution alone: up to here it is about
-# as fast as the recurrence (k = 9, n = 80: 6 ms against 5 ms), and a short
-# table never loads ``_recurrences``, which takes about 6 ms to compile
+# tables this short come from the convolution alone, which never loads
+# ``_recurrences`` (about 3 ms to compile) or decodes a class (0.1 ms for
+# class 5, 1.5 ms for class 9).  Up to here the convolution beats the
+# recurrence with those costs added: k = 5, n = 40 takes 1.0 ms against
+# 3.9 ms, and k = 9, n = 80 takes 7 ms against 11 ms.
 _CONVOLVED = 80
 
 _MEMO_ENV = "HRD_MEMO_DIR"
@@ -82,6 +86,8 @@ def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
         raise ValueError("census is defined for lengths >= 2")
     if length > DEFAULT_CENSUS_CAP:
         raise CapExceeded(f"census length {length} exceeds the cap {DEFAULT_CENSUS_CAP}")
+    from .perm import simple_baxter_perms
+
     return simple_baxter_perms(length)
 
 
@@ -121,8 +127,7 @@ def _check_order_and_size(k: int, n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-@dataclass
-class CountTable:
+class CountTable(NamedTuple):
     """The counts t_1..t_{n_max} for one order k; slot 0 of ``t`` is unused."""
 
     k: int
@@ -176,6 +181,18 @@ def _recur(t: list[int], operator: tuple[tuple[int, ...], ...], n_max: int) -> N
         tables = [list(map(add, d, d[1:])) + d[-1:] for d in tables]
 
 
+@lru_cache(maxsize=None)
+def _operator(c: int) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """The committed entry (n0, (D_0, ..., D_r)) of skeleton class c, or
+    None; decoded from its text in ``_recurrences`` once per process."""
+    from ._recurrences import OPERATORS
+
+    if c not in OPERATORS:
+        return None
+    n0, *rows = OPERATORS[c].strip().split("\n")
+    return int(n0), tuple(tuple(map(int, row.split())) for row in rows)
+
+
 def count_hrd_fast(k: int, n_max: int) -> CountTable:
     """t_1..t_{n_max} for order k.
 
@@ -189,9 +206,7 @@ def count_hrd_fast(k: int, n_max: int) -> CountTable:
     _check_order_and_size(k, n_max)
     s = skeleton_counts(min(k, n_max))
     if n_max > _CONVOLVED:
-        from ._recurrences import OPERATORS
-
-        entry = OPERATORS.get(max(s, default=2))
+        entry = _operator(max(s, default=2))
         if entry is not None and n_max > entry[0]:
             n0, operator = entry
             t = _convolve(s, n0)
@@ -203,21 +218,6 @@ def count_hrd_fast(k: int, n_max: int) -> CountTable:
 def sequence(k: int, n_max: int) -> list[int]:
     """[t_1, ..., t_{n_max}] for order k."""
     return count_hrd_fast(k, n_max).counts()
-
-
-@contextmanager
-def unlimited_int_text() -> Iterator[None]:
-    """Lift Python's limit on converting integers to and from decimal text
-    (4300 digits by default since 3.11) until the block exits, then restore
-    the previous limit.  Counts pass that size at a few thousand rooms."""
-    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if old is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if old is not None:
-            sys.set_int_max_str_digits(old)
 
 
 def memo_dir() -> Path:

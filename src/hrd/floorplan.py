@@ -31,7 +31,6 @@ O(n) from the room areas and the parity of corner counts (``diagnose``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .perm import Permutation, is_baxter
@@ -45,8 +44,7 @@ class Room(NamedTuple):
     y2: int
 
 
-@dataclass(frozen=True)
-class MosaicFloorplan:
+class MosaicFloorplan(NamedTuple):
     width: int
     height: int
     rooms: tuple[Room, ...]

@@ -21,29 +21,41 @@ nesting depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar, Union
 
-from .perm import Permutation, _split, is_baxter, is_simple
+from .perm import Permutation, _Frozen, _split, is_baxter, is_simple
 
 
 class NotBaxter(ValueError):
     """A generating tree was asked of a permutation that is not Baxter."""
 
 
-@dataclass(frozen=True)
 class Leaf:
-    """A basic room."""
+    """A basic room.  All leaves are equal, and no leaf equals anything else."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if other.__class__ is Leaf else NotImplemented
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "Leaf()"
 
 
-@dataclass(frozen=True, eq=False)
-class Node:
-    """An internal node.  Equality, hashing and repr go through the text
-    form, which is injective and built without recursion; the generated
-    dataclass methods would recurse on the tree's depth."""
+class Node(_Frozen):
+    """An internal node, immutable.  Equality, hashing and repr go through
+    the text form, which is injective and built without recursion."""
 
+    __slots__ = ("label", "children")
     label: Permutation
     children: tuple["GenTree", ...]
+
+    def __init__(self, label: Permutation, children: tuple["GenTree", ...]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "children", children)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):

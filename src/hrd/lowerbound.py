@@ -13,8 +13,7 @@ three canonical sites per step makes the family size exactly 3**(n-k).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import CapExceeded
 from .floorplan import MosaicFloorplan, bp2fp, fp2bp
@@ -51,8 +50,7 @@ def _canonical_sites(p: Permutation) -> list[int]:
     return sites
 
 
-@dataclass(frozen=True)
-class InsertionTrace:
+class InsertionTrace(NamedTuple):
     """One branch of the family: the seed, the chosen slots, the result."""
 
     seed: Permutation
@@ -82,8 +80,7 @@ def insertion_traces(k: int, n: int, seed: Permutation) -> Iterator[InsertionTra
             stack.append((Permutation(vals[:site] + (len(vals) + 1,) + vals[site:]), choices + (site,)))
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     seed: Permutation
     k: int
     n: int

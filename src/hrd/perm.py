@@ -8,26 +8,48 @@ position 1 to value 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Immutable one-line permutation of {1..n}."""
+class _Frozen:
+    """A record whose slots ``__init__`` sets once, through
+    ``object.__setattr__``; any later assignment raises AttributeError."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Frozen):
+    """Immutable one-line permutation of {1..n}, equal to another exactly
+    when their values are."""
+
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        n = len(values)
         if n == 0:
             raise ValueError("a permutation needs length >= 1")
         seen = [False] * (n + 1)
-        for v in self.values:
+        for v in values:
             if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n or seen[v]:
-                raise ValueError(f"not a bijection onto 1..{n}: {self.values!r}")
+                raise ValueError(f"not a bijection onto 1..{n}: {values!r}")
             seen[v] = True
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Permutation:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     @classmethod
     def parse(cls, text: str) -> Permutation:
@@ -68,8 +90,7 @@ class Permutation:
         return f"Permutation({' '.join(str(v) for v in self.values)})"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Canonical substitution decomposition p = skeleton[child_1, ..., child_m].
 
     The skeleton is simple and non-singleton.  When the skeleton is 12

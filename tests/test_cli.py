@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hrd import cli, gentree, lowerbound
+import hrd.perm
+from hrd import gentree, lowerbound
 from hrd.cli import main, run
 from hrd.counting import load_table, memo_dir
 from hrd.perm import Permutation, is_baxter
@@ -280,8 +281,9 @@ class TestDecomposeAndTree:
             calls.append(p)
             return is_baxter(p)
 
+        # gentree holds its own name; the CLI reads hrd.perm's when it runs
         monkeypatch.setattr(gentree, "is_baxter", counted)
-        monkeypatch.setattr(cli, "is_baxter", counted)
+        monkeypatch.setattr(hrd.perm, "is_baxter", counted)
         assert invoke(capsys, "tree", "451362", "--k", "5")[0] == 0
         assert invoke(capsys, "tree", "2413", "--k", "5")[0] == 1
         assert len(calls) == 2

@@ -76,3 +76,19 @@ def test_gentree_walks_ranges_not_copies():
     names = sibling_names("gentree")
     assert "_split" in names
     assert not names & {"decompose", "inflate"}
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, ast and dis: about 13 ms of every start-up
+    found = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module}
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.add(path.stem)
+    assert found == set()

@@ -1,5 +1,7 @@
 """The committed P-recursions of ``hrd._recurrences``: each passes its exact
-certificate, and the count table they drive equals the convolution."""
+certificate, the module is what the script writes, and the count table they
+drive equals the convolution.  A fresh process loads them only for a long
+table, and loads only the layers its ``hrd`` command runs."""
 
 import importlib.util
 import os
@@ -11,7 +13,7 @@ import pytest
 
 from hrd import counting
 from hrd._recurrences import OPERATORS
-from hrd.counting import _convolve, count_hrd_fast, skeleton_counts
+from hrd.counting import _convolve, _operator, count_hrd_fast, skeleton_counts
 
 ROOT = Path(__file__).parent.parent
 
@@ -34,11 +36,11 @@ def test_the_required_classes_are_committed():
 
 @pytest.mark.parametrize("c", sorted(OPERATORS))
 def test_every_committed_operator_is_certified(c):
-    assert derive.certify(c, OPERATORS[c])
+    assert derive.certify(c, _operator(c))
 
 
 def test_the_certificate_rejects_a_damaged_operator():
-    n0, diffs = OPERATORS[5]
+    n0, diffs = _operator(5)
     damaged = [list(D) for D in diffs]
     damaged[2][3] += 1
     assert not derive.certify(5, (n0, tuple(map(tuple, damaged))))
@@ -58,17 +60,38 @@ def test_equal_to_the_convolution_for_every_order_to_300():
         assert count_hrd_fast(k, 300).t == _convolve(skeleton_counts(k), 300), k
 
 
+def test_the_committed_module_is_what_the_script_writes():
+    # no hand edits: decoding every class and writing it back gives the same bytes
+    module = ROOT / "src" / "hrd" / "_recurrences.py"
+    assert derive.module_text({c: _operator(c) for c in OPERATORS}) == module.read_text()
+
+
+def test_a_class_is_decoded_once():
+    # the decoded entry is cached: every table of the class steps the same one
+    assert _operator(5) is _operator(5)
+    assert _operator(3) is None
+
+
 def test_a_damaged_operator_raises_instead_of_returning_a_count(monkeypatch):
-    n0, diffs = OPERATORS[5]
+    n0, diffs = _operator(5)
     damaged = [list(D) for D in diffs]
     damaged[0][1] += 1
-    monkeypatch.setitem(OPERATORS, 5, (n0, tuple(map(tuple, damaged))))
+    entry = (n0, tuple(map(tuple, damaged)))
+    monkeypatch.setattr(counting, "_operator", lambda c: entry if c == 5 else None)
     with pytest.raises(ArithmeticError):
         count_hrd_fast(5, counting._CONVOLVED + 1)
 
 
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_short_tables_do_not_load_the_operators():
-    code = (
+    _fresh(
         "import sys\n"
         "import hrd.counting as c\n"
         "assert 'hrd._recurrences' not in sys.modules\n"
@@ -77,6 +100,23 @@ def test_short_tables_do_not_load_the_operators():
         f"c.sequence(9, {counting._CONVOLVED + 1})\n"
         "assert 'hrd._recurrences' in sys.modules\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
+
+
+# what each start-up loads: the hrd modules, and dataclasses if it was loaded
+_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] in ('hrd', 'dataclasses')))\n"
+
+
+def test_importing_the_cli_loads_no_layer():
+    assert _fresh("import sys\nimport hrd.cli\n" + _LOADED) == "['hrd', 'hrd.cli']\n"
+
+
+@pytest.mark.parametrize(
+    "argv,out,loaded",
+    [
+        (["check", "baxter", "2", "4", "1", "3"], "false", ["hrd", "hrd.cli", "hrd.perm"]),
+        (["count", "--k", "5", "--n", "40", "--no-memo"], "36124518729790881708258069274", ["hrd", "hrd.cli", "hrd.counting"]),
+    ],
+)
+def test_a_command_loads_only_its_layer(argv, out, loaded):
+    code = f"import sys\nimport hrd.cli\nhrd.cli.run({argv!r})\n" + _LOADED
+    assert _fresh(code) == f"{out}\n{loaded!r}\n"
