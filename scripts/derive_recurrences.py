@@ -439,7 +439,7 @@ def derive(c: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def module_text(entries: dict[int, tuple[int, tuple[tuple[int, ...], ...]]]) -> str:
     """The source of ``hrd._recurrences`` for the entries (n0, (D_0, ..., D_r))."""
     lines = [
-        '"""Certified P-recursions for ``counting.count_hrd_fast``, written by',
+        '"""Certified P-recursions for ``counting.sequence``, written by',
         "``scripts/derive_recurrences.py``; do not edit.",
         "",
         "OPERATORS[c] is the text of the entry (n0, (D_0, ..., D_r)) of skeleton",

@@ -9,7 +9,7 @@ until n exceeds the largest skeleton length available at that order.
 
 import argparse
 
-from hrd.counting import count_hrd_fast
+from hrd.counting import sequence
 
 
 def main() -> None:
@@ -18,13 +18,13 @@ def main() -> None:
     ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5, 6, 7])
     args = ap.parse_args()
 
-    tables = {k: count_hrd_fast(k, args.max) for k in args.orders}
-    widths = {k: max(len(str(tables[k].t[args.max])), len(f"k={k}")) for k in args.orders}
+    tables = {k: sequence(k, args.max) for k in args.orders}
+    widths = {k: max(len(str(tables[k][-1])), len(f"k={k}")) for k in args.orders}
     header = "  n | " + " ".join(f"k={k}".rjust(widths[k]) for k in args.orders)
     print(header)
     print("-" * len(header))
     for n in range(1, args.max + 1):
-        row = " ".join(str(tables[k].t[n]).rjust(widths[k]) for k in args.orders)
+        row = " ".join(str(tables[k][n - 1]).rjust(widths[k]) for k in args.orders)
         print(f"{n:3d} | {row}")
 
 

@@ -116,16 +116,14 @@ def _cmd_render(args) -> int:
 def _cmd_count(args) -> int:
     from .counting import ensure_table
 
-    table = ensure_table(args.k, args.n, use_memo=not args.no_memo)
-    print(table.t[args.n])
+    print(ensure_table(args.k, args.n, use_memo=not args.no_memo)[args.n - 1])
     return 0
 
 
 def _cmd_sequence(args) -> int:
     from .counting import ensure_table
 
-    table = ensure_table(args.k, args.max, use_memo=not args.no_memo)
-    counts = table.counts()[: args.max]
+    counts = ensure_table(args.k, args.max, use_memo=not args.no_memo)[: args.max]
     if args.csv:
         for n, c in enumerate(counts, 1):
             print(f"{n},{c}")

@@ -30,7 +30,9 @@ the same equation, B = x + 2B^2/(1+B) + S(B), and reverting B gives S
 (``skeleton_counts``) at any length.  ``census_simple_baxter`` lists the
 skeletons themselves, up to length ``DEFAULT_CENSUS_CAP`` = 11.
 
-``count_hrd_fast`` is the one counting route.  T is algebraic (x = G(T) with
+``sequence`` is the one counting route; it returns the plain list
+[t_1, ..., t_n], which the memo (``save_table``, ``load_table``,
+``ensure_table``) stores and returns as it is.  T is algebraic (x = G(T) with
 G(u) = u - 2u^2/(1+u) - S(u)), so t_n satisfies a linear recurrence with
 polynomial coefficients.  ``_recurrences`` commits one such operator per
 skeleton series, certified exactly: for k = 2..9 (the series of k = 2..4
@@ -57,7 +59,7 @@ from math import comb
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import CapExceeded, unlimited_int_text
 
@@ -127,20 +129,6 @@ def _check_order_and_size(k: int, n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-class CountTable(NamedTuple):
-    """The counts t_1..t_{n_max} for one order k; slot 0 of ``t`` is unused."""
-
-    k: int
-    t: list[int]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.t) - 1
-
-    def counts(self) -> list[int]:
-        return self.t[1:]
-
-
 def _convolve(s: Mapping[int, int], n_max: int) -> list[int]:
     """[0, t_1, ..., t_{n_max}] for the skeleton counts s, in O(L * n_max^2)
     arithmetic ops, L the longest skeleton length.
@@ -193,8 +181,8 @@ def _operator(c: int) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     return int(n0), tuple(tuple(map(int, row.split())) for row in rows)
 
 
-def count_hrd_fast(k: int, n_max: int) -> CountTable:
-    """t_1..t_{n_max} for order k.
+def sequence(k: int, n_max: int) -> list[int]:
+    """[t_1, ..., t_{n_max}] for order k.
 
     The orders with a committed operator in ``_recurrences`` (keyed by the
     longest skeleton length, or 2 when there is none) take t_1..t_{n0} from
@@ -205,19 +193,14 @@ def count_hrd_fast(k: int, n_max: int) -> CountTable:
     """
     _check_order_and_size(k, n_max)
     s = skeleton_counts(min(k, n_max))
-    if n_max > _CONVOLVED:
-        entry = _operator(max(s, default=2))
-        if entry is not None and n_max > entry[0]:
-            n0, operator = entry
-            t = _convolve(s, n0)
-            _recur(t, operator, n_max)
-            return CountTable(k, t)
-    return CountTable(k, _convolve(s, n_max))
-
-
-def sequence(k: int, n_max: int) -> list[int]:
-    """[t_1, ..., t_{n_max}] for order k."""
-    return count_hrd_fast(k, n_max).counts()
+    entry = _operator(max(s, default=2)) if n_max > _CONVOLVED else None
+    if entry is not None and n_max > entry[0]:
+        n0, operator = entry
+        t = _convolve(s, n0)
+        _recur(t, operator, n_max)
+    else:
+        t = _convolve(s, n_max)
+    return t[1:]
 
 
 def memo_dir() -> Path:
@@ -231,13 +214,14 @@ def _table_path(k: int) -> Path:
     return memo_dir() / f"count-table-k{k}.txt"
 
 
-def save_table(table: CountTable) -> Path:
-    """Write ``m t_m`` lines under a header naming k and the CRC-32 of the body."""
-    path = _table_path(table.k)
+def save_table(k: int, counts: list[int]) -> Path:
+    """Write ``m t_m`` lines for ``counts`` = [t_1, ..., t_n] under a header
+    naming k and the CRC-32 of the body."""
+    path = _table_path(k)
     path.parent.mkdir(parents=True, exist_ok=True)
     with unlimited_int_text():
-        body = "".join(f"{m} {table.t[m]}\n" for m in range(1, table.n_max + 1))
-    path.write_text(_table_header(table.k, body) + body)
+        body = "".join(f"{m} {t}\n" for m, t in enumerate(counts, 1))
+    path.write_text(_table_header(k, body) + body)
     return path
 
 
@@ -245,9 +229,9 @@ def _table_header(k: int, body: str) -> str:
     return f"# {_TABLE_VERSION} k={k} crc32={zlib.crc32(body.encode()):08x}\n"
 
 
-def load_table(k: int) -> CountTable | None:
-    """Load a persisted table; return None for a missing, stale or corrupt
-    file, which the caller then recomputes.
+def load_table(k: int) -> list[int] | None:
+    """[t_1, ..., t_n] from a persisted table; None for a missing, stale or
+    corrupt file, which the caller then recomputes.
 
     The header must name this k and the CRC-32 of the body, so any edit to
     the file after ``save_table`` is caught in time linear in its size.
@@ -257,31 +241,31 @@ def load_table(k: int) -> CountTable | None:
         header, _, body = path.read_text().partition("\n")
         if header + "\n" != _table_header(k, body):
             return None
-        t = [0]
+        counts = []
         with unlimited_int_text():
             for m, line in enumerate(body.splitlines(), 1):
                 mm, tm = (int(tok) for tok in line.split())
                 if mm != m:
                     return None
-                t.append(tm)
+                counts.append(tm)
     except (ValueError, OSError):
         return None
-    if len(t) < 2 or t[1] != 1:
+    if not counts or counts[0] != 1:
         return None
-    return CountTable(k, t)
+    return counts
 
 
-def ensure_table(k: int, n: int, *, use_memo: bool = True) -> CountTable:
-    """Table covering 1..n for order k, going through the persistent memo:
-    a stored table that covers n is returned, anything else is recomputed
-    and stored.  A memo that cannot be written is skipped."""
+def ensure_table(k: int, n: int, *, use_memo: bool = True) -> list[int]:
+    """[t_1, ..., t_m] for order k with m >= n, going through the persistent
+    memo: a stored table that covers n is returned, anything else is
+    recomputed and stored.  A memo that cannot be written is skipped."""
     _check_order_and_size(k, n)
     if use_memo:
-        table = load_table(k)
-        if table is not None and table.n_max >= n:
-            return table
-    table = count_hrd_fast(k, n)
+        counts = load_table(k)
+        if counts is not None and len(counts) >= n:
+            return counts
+    counts = sequence(k, n)
     if use_memo:
         with suppress(OSError):
-            save_table(table)
-    return table
+            save_table(k, counts)
+    return counts

@@ -12,16 +12,17 @@ The permutation side is one decomposition walk (``_walk``) over index
 ranges of the permutation's values: each node costs one prefix scan up to
 its first sum cut, or O(size * blocks) when its skeleton is longer than 2,
 and no node copies its children.  ``tree_of_perm``, ``is_hrd`` and
-``hierarchy_order`` read that walk.  The tree side is one iterative
-post-order fold (``_fold``); ``perm_of_tree`` takes subtree sizes from it
-and then places every leaf top-down.  Node equality, hashing and repr go
-through the text form the fold builds, so nothing recurses on an input's
-nesting depth.
+``hierarchy_order`` read that walk.  The tree side walks the nodes in
+preorder on an explicit stack (``_nodes``): ``perm_of_tree`` takes subtree
+sizes in reverse preorder and then places every leaf top-down, and
+``format_tree`` writes the text in one preorder pass.  Node equality,
+hashing and repr go through that text, so nothing recurses on an input's
+nesting depth and each costs time linear in the tree's size.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, TypeVar, Union
+from typing import Iterator, Union
 
 from .perm import Permutation, _Frozen, _split, is_baxter, is_simple
 
@@ -70,7 +71,6 @@ class Node(_Frozen):
 
 
 GenTree = Union[Leaf, Node]
-V = TypeVar("V")
 
 
 def _nodes(t: GenTree) -> Iterator[Node]:
@@ -83,36 +83,23 @@ def _nodes(t: GenTree) -> Iterator[Node]:
             stack.extend(reversed(sub.children))
 
 
-def _fold(t: GenTree, leaf_value: V, combine: Callable[[Node, list[V]], V]) -> V:
-    """Post-order fold: ``leaf_value`` at every leaf, ``combine(node, values
-    of its children left to right)`` at every node.  Iterative: nodes are
-    combined in reverse preorder, which leaves a node's child values on top
-    of ``built``, first child topmost.
-    """
-    built: list[V] = []
-    for node in reversed(list(_nodes(t))):
-        built.append(combine(node, [leaf_value if isinstance(c, Leaf) else built.pop() for c in node.children]))
-    return built[0] if built else leaf_value
-
-
 def perm_of_tree(t: GenTree) -> Permutation:
     """Every node's label inflated by its children's permutations; a leaf is 1.
 
-    Subtree sizes come bottom-up from ``_fold``.  Then, top-down, each node
-    gives its children their first position and lowest value, child i's
-    values starting above those of the children with smaller label values,
-    and each leaf writes its one entry.
+    Subtree sizes come bottom-up, in reverse preorder, so every child's size
+    is known before its parent's.  Then, top-down, each node gives its
+    children their first position and lowest value, child i's values
+    starting above those of the children with smaller label values, and each
+    leaf writes its one entry.
     """
     size: dict[int, int] = {}
-
-    def count(node: Node, kids: list[int]) -> int:
+    for node in reversed(list(_nodes(t))):
         m = len(node.label)
-        if len(kids) != m:
-            raise ValueError(f"skeleton of length {m} needs {m} children, got {len(kids)}")
-        size[id(node)] = n = sum(kids)
-        return n
+        if len(node.children) != m:
+            raise ValueError(f"skeleton of length {m} needs {m} children, got {len(node.children)}")
+        size[id(node)] = sum(1 if isinstance(c, Leaf) else size[id(c)] for c in node.children)
 
-    out = [1] * _fold(t, 1, count)
+    out = [1] * size.get(id(t), 1)
     stack = [] if isinstance(t, Leaf) else [(t, 0, 1)]  # (node, first position, lowest value)
     while stack:
         node, pos, val = stack.pop()
@@ -194,11 +181,25 @@ def hierarchy_order(p: Permutation) -> int:
 
 
 def format_tree(t: GenTree) -> str:
-    """Parenthesized prefix form: leaf ``.``, node ``(<label> <child> ...)``."""
+    """Parenthesized prefix form: leaf ``.``, node ``(<label> <child> ...)``.
 
-    def node_text(node: Node, kids: list[str]) -> str:
-        label = node.label.compact() if len(node.label) <= 9 else str(node.label)
-        return "(" + " ".join([label] + kids) + ")"
-
-    return _fold(t, ".", node_text)
-
+    One preorder pass on an explicit stack: a node writes ``(<label>`` and
+    pushes its closing ``)`` beneath its children, each child with the space
+    before it.  A string on the stack is written as it stands, and the text
+    is joined once.
+    """
+    out: list[str] = []
+    stack: list[GenTree | str] = [t]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, str):
+            out.append(sub)
+        elif isinstance(sub, Leaf):
+            out.append(".")
+        else:
+            label = sub.label
+            out.append("(" + (label.compact() if len(label) <= 9 else str(label)))
+            stack.append(")")
+            for child in reversed(sub.children):
+                stack += (child, " ")
+    return "".join(out)

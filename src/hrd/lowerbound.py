@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 from . import CapExceeded
 from .floorplan import MosaicFloorplan, bp2fp, fp2bp
 from .gentree import hierarchy_order, is_ihrd
-from .perm import Permutation, _is_baxter_seq, _is_simple_seq, is_baxter, is_simple
+from .perm import Permutation, _is_baxter_seq, _simple, is_baxter, is_simple
 
 # insertions beyond the seed in one family: its 3**10 traces take about
 # 15 s on a 2-vCPU VM, three times the census of length 11
@@ -169,7 +169,7 @@ def _grow_label(label: Permutation) -> Permutation:
     those, both lexicographically."""
     for q1 in _one_point_extensions(label.values):
         for q2 in _one_point_extensions(q1):
-            if _is_simple_seq(q2) and _is_baxter_seq(q2):
+            if _simple(q2) and _is_baxter_seq(q2):
                 return Permutation(q2)
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
 

@@ -131,32 +131,6 @@ def is_baxter(p: Permutation) -> bool:
     return _is_baxter_seq(p.values)
 
 
-def _is_simple_seq(vals: tuple[int, ...]) -> bool:
-    n = len(vals)
-    if n <= 2:
-        return True
-    for i in range(n):
-        mn = mx = vals[i]
-        last = n - 2 if i == 0 else n - 1  # skip the full interval
-        for j in range(i + 1, last + 1):
-            v = vals[j]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if mx - mn == j - i:
-                return False
-    return True
-
-
-def is_simple(p: Permutation) -> bool:
-    """True iff every block is a singleton or the whole interval.
-
-    By this reading 1, 12 and 21 are simple.
-    """
-    return _is_simple_seq(p.values)
-
-
 def _child(vals: tuple[int, ...], start: int, stop: int, lo: int) -> Permutation:
     """The pattern of ``vals[start:stop]``, whose values are the interval
     starting at ``lo``: every block of a decomposition is one.  Built via a
@@ -212,6 +186,21 @@ def _split(vals: tuple[int, ...], a: int, b: int, lo: int) -> tuple[tuple[int, .
         kids.append((i, stop, low))
         i = stop
     return _rank_seq(tuple(low for _, _, low in kids)), kids
+
+
+def _simple(vals: tuple[int, ...]) -> bool:
+    """Simplicity read off ``_split``: the canonical decomposition of a
+    simple permutation longer than 2 has one child per entry."""
+    n = len(vals)
+    return n <= 2 or len(_split(vals, 0, n, 1)[1]) == n
+
+
+def is_simple(p: Permutation) -> bool:
+    """True iff every block is a singleton or the whole interval.
+
+    By this reading 1, 12 and 21 are simple.
+    """
+    return _simple(p.values)
 
 
 def decompose(p: Permutation) -> Decomposition:

@@ -5,8 +5,11 @@ method; what each takes from the library:
 - ``baxter_quadruple_scan``, ``contains_pattern_bruteforce``,
   ``blocks_bruteforce``, ``inflate_bruteforce`` and ``symmetries`` work
   on the values alone and share no code with ``hrd.perm``.
+- ``is_simple_by_scan`` grows every segment from every start and stops at
+  the first proper block; the production ``is_simple`` reads simplicity
+  off the canonical decomposition (``hrd.perm._split``).
 - ``simple_baxter_perms_by_scan`` filters the whole symmetric group with
-  ``hrd.perm._is_baxter_seq`` and ``_is_simple_seq``; the production
+  ``hrd.perm._is_baxter_seq`` and ``is_simple_by_scan``; the production
   ``simple_baxter_perms`` prunes prefixes instead.
 - ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
   ``_insert_top_left`` below, which rank-compresses through
@@ -24,7 +27,11 @@ method; what each takes from the library:
   ``hrd.floorplan._require_valid``, scan the cell grid of ``canonical`` and
   ``_grid``, and name rooms by ``_deletion_labels``, the labels ``fp2bp``
   assigns.
-- ``floorplan_of_tree`` folds a tree with ``hrd.gentree._fold``, draws each
+- ``_fold`` is a post-order fold over ``hrd.gentree._nodes`` in reverse.
+  ``format_tree_by_fold`` builds the text of every node from its
+  children's texts; the production ``format_tree`` writes it in one
+  preorder pass.
+- ``floorplan_of_tree`` folds a tree with ``_fold``, draws each
   node's label with the production ``bp2fp`` and embeds the children
   through ``_ranked``.  ``enumerate_trees`` takes its labels
   from ``hrd.perm.simple_baxter_perms`` and builds every tree bottom-up.
@@ -32,7 +39,7 @@ method; what each takes from the library:
   by calling ``hrd.perm.decompose`` on a re-ranked copy of every part, and
   ``tree_of_perm_by_copies`` builds the tree from it; the production walk
   splits index ranges of p with ``_split`` and copies nothing.
-  ``perm_of_tree_by_inflation`` folds a tree with ``hrd.gentree._fold``,
+  ``perm_of_tree_by_inflation`` folds a tree with ``_fold``,
   inflating every label by copies of its children's permutations
   (``inflate``); the production ``perm_of_tree`` places every leaf
   top-down.
@@ -46,14 +53,16 @@ method; what each takes from the library:
   exercise the deletion that ``fp2bp`` runs.
   ``parse_tree`` reads the text that ``hrd tree`` prints.
 - ``count_hrd_literal`` uses no library code; ``count_hrd`` takes the s_l
-  from ``hrd.counting.skeleton_counts``, as ``count_hrd_fast`` does, but
+  from ``hrd.counting.skeleton_counts``, as ``sequence`` does, but
   sums every composition directly; ``oracle_count`` scans S_n with
   ``hrd.perm._is_baxter_seq`` and ``hrd.gentree.hierarchy_order`` and shares
   nothing with the recurrence.
 - ``grow_label_by_sorting`` builds and sorts every one- and two-point
   extension and tests Baxter before simple; the production
   ``hrd.lowerbound._grow_label`` merges the extensions lazily in the same
-  order.  Both test with ``hrd.perm._is_baxter_seq`` and ``_is_simple_seq``.
+  order.  Both test with ``hrd.perm._is_baxter_seq``; the reference tests
+  simplicity with ``is_simple_by_scan``, the production route with
+  ``hrd.perm._simple``, which reads ``_split``.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ import itertools
 import re
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from hrd.counting import _check_order_and_size, skeleton_counts
 from hrd.floorplan import (
@@ -76,13 +85,12 @@ from hrd.floorplan import (
     bp2fp,
     diagnose,
 )
-from hrd.gentree import GenTree, Leaf, Node, NotBaxter, _fold, _nodes, hierarchy_order
+from hrd.gentree import GenTree, Leaf, Node, NotBaxter, _nodes, hierarchy_order
 from hrd.lowerbound import safe_sites
 from hrd.perm import (
     Decomposition,
     Permutation,
     _is_baxter_seq,
-    _is_simple_seq,
     decompose,
     is_baxter,
     is_simple,
@@ -91,6 +99,7 @@ from hrd.perm import (
 
 _P12 = Permutation((1, 2))
 _P21 = Permutation((2, 1))
+V = TypeVar("V")
 
 
 def single_room() -> MosaicFloorplan:
@@ -185,9 +194,31 @@ def grow_label_by_sorting(label: Permutation) -> Permutation:
     """
     for q1 in sorted(one_point_extensions_by_set(label.values)):
         for q2 in sorted(one_point_extensions_by_set(q1)):
-            if _is_baxter_seq(q2) and _is_simple_seq(q2):
+            if _is_baxter_seq(q2) and is_simple_by_scan(q2):
                 return Permutation(q2)
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
+
+
+def _fold(t: GenTree, leaf_value: V, combine: Callable[[Node, list[V]], V]) -> V:
+    """Post-order fold: ``leaf_value`` at every leaf, ``combine(node, values
+    of its children left to right)`` at every node.  Iterative: nodes are
+    combined in reverse preorder, which leaves a node's child values on top
+    of ``built``, first child topmost.
+    """
+    built: list[V] = []
+    for node in reversed(list(_nodes(t))):
+        built.append(combine(node, [leaf_value if isinstance(c, Leaf) else built.pop() for c in node.children]))
+    return built[0] if built else leaf_value
+
+
+def format_tree_by_fold(t: GenTree) -> str:
+    """Reference ``format_tree``: every node's text joins its children's
+    whole texts, so it costs time quadratic in the depth."""
+
+    def text(node: Node, kids: list[str]) -> str:
+        return "(" + " ".join([node.label.compact() if len(node.label) <= 9 else str(node.label)] + kids) + ")"
+
+    return _fold(t, ".", text)
 
 
 def leaf_count(t: GenTree) -> int:
@@ -366,7 +397,7 @@ def simple_baxter_perms_by_scan(length: int) -> tuple[Permutation, ...]:
         raise ValueError("length must be >= 1")
     out = []
     for tup in itertools.permutations(range(1, length + 1)):
-        if _is_baxter_seq(tup) and _is_simple_seq(tup):
+        if _is_baxter_seq(tup) and is_simple_by_scan(tup):
             out.append(Permutation(tup))
     return tuple(out)
 
@@ -384,6 +415,26 @@ def contains_pattern_bruteforce(text, pattern) -> bool:
         if _pattern_of([text[i] for i in idxs]) == target:
             return True
     return False
+
+
+def is_simple_by_scan(vals: tuple[int, ...]) -> bool:
+    """Reference ``is_simple``: for every start, grow the segment and stop at
+    the first proper one whose values are an interval.  O(n^2)."""
+    n = len(vals)
+    if n <= 2:
+        return True
+    for i in range(n):
+        mn = mx = vals[i]
+        last = n - 2 if i == 0 else n - 1  # skip the full interval
+        for j in range(i + 1, last + 1):
+            v = vals[j]
+            if v < mn:
+                mn = v
+            elif v > mx:
+                mx = v
+            if mx - mn == j - i:
+                return False
+    return True
 
 
 def blocks_bruteforce(values) -> set:

@@ -14,14 +14,13 @@ import pytest
 from hrd.perm import (
     Permutation,
     _is_baxter_seq,
-    _is_simple_seq,
     decompose,
     is_baxter,
     is_simple,
 )
 from hrd.floorplan import bp2fp, diagnose, fp2bp
 from hrd.gentree import is_ihrd, perm_of_tree, tree_of_perm
-from hrd.counting import census_simple_baxter, count_hrd_fast, sequence
+from hrd.counting import census_simple_baxter, sequence
 from hrd.lowerbound import grow_ihrd, insertion_family
 
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     enveloping_rectangles,
     floorplan_of_tree,
     inflate,
+    is_simple_by_scan,
     oracle_count,
 )
 
@@ -70,9 +70,9 @@ def literal_values():
 
 def test_criterion_02_order5_recurrence_fidelity(literal_values):
     with criterion(2, "order-5 recurrence: literal = general = fast = oracle", budget=60):
-        table = count_hrd_fast(5, 30)
+        counts = sequence(5, 30)
         for n in range(1, 31):
-            assert literal_values[n - 1] == count_hrd(5, n) == table.t[n]
+            assert literal_values[n - 1] == count_hrd(5, n) == counts[n - 1]
         for n in range(1, 9):
             assert literal_values[n - 1] == oracle_count(5, n)
         baxter5 = sum(1 for t in itertools.permutations(range(1, 6)) if _is_baxter_seq(t))
@@ -122,7 +122,7 @@ def _simple_perms(length):
     return [
         Permutation(t)
         for t in itertools.permutations(range(1, length + 1))
-        if _is_simple_seq(t)
+        if is_simple_by_scan(t)
     ]
 
 
@@ -188,11 +188,11 @@ def test_criterion_08_hierarchy_strictness():
 def test_criterion_09_performance(literal_values):
     with criterion(9, "fast counter: 300 terms under budget, agrees with literal"):
         start = time.perf_counter()
-        table = count_hrd_fast(5, 300)
+        counts = sequence(5, 300)
         elapsed = time.perf_counter() - start
-        assert table.t[1:31] == literal_values
-        assert len(table.t) == 301
-        assert elapsed < 2.0 * 2, f"count_hrd_fast(5, 300) took {elapsed:.2f}s"  # soft target, 2x slack
+        assert counts[:30] == literal_values
+        assert len(counts) == 300
+        assert elapsed < 2.0 * 2, f"sequence(5, 300) took {elapsed:.2f}s"  # soft target, 2x slack
 
 
 def test_criterion_10_gap_claim_echo():

@@ -5,7 +5,6 @@ import pytest
 from hrd import CapExceeded
 from hrd.counting import (
     census_simple_baxter,
-    count_hrd_fast,
     ensure_table,
     load_table,
     memo_dir,
@@ -98,18 +97,17 @@ class TestGeneral:
 
 class TestFast:
     def test_tiny_tables(self):
-        assert count_hrd_fast(5, 1).counts() == [1]
-        assert count_hrd_fast(2, 7).t[7] == 1806
+        assert sequence(5, 1) == [1]
+        assert sequence(2, 7)[6] == 1806
 
     def test_agrees_with_general(self):
         for k in range(2, 8):
-            table = count_hrd_fast(k, 25)
+            counts = sequence(k, 25)
             for n in (1, 2, 5, 9, 14, 20, 25):
-                assert table.t[n] == count_hrd(k, n), (k, n)
+                assert counts[n - 1] == count_hrd(k, n), (k, n)
         # s has gaps (s_4 = s_6 = 0); at k = 12 the top column P_13 is reached
         for k in (8, 9, 12):
-            table = count_hrd_fast(k, 14)
-            assert table.t[1:] == [count_hrd(k, n) for n in range(1, 15)], k
+            assert sequence(k, 14) == [count_hrd(k, n) for n in range(1, 15)], k
 
     def test_pinned_thirtieth_terms(self):
         # computed by the earlier evaluator, which kept a separate 12-root column
@@ -119,7 +117,7 @@ class TestFast:
             11: 2707833564351153686582,
         }
         for k, t30 in pinned.items():
-            assert count_hrd_fast(k, 30).t[30] == t30, k
+            assert sequence(k, 30)[29] == t30, k
 
     def test_sequence_values(self):
         assert sequence(2, 5) == [1, 2, 6, 22, 90]
@@ -156,37 +154,37 @@ class TestMemo:
         assert memo_dir() == tmp_path / "prime"
 
     def test_save_load_roundtrip(self):
-        table = count_hrd_fast(5, 12)
-        assert save_table(table).parent == memo_dir()
+        counts = sequence(5, 12)
+        assert save_table(5, counts).parent == memo_dir()
         loaded = load_table(5)
         assert loaded is not None
-        assert loaded.t == table.t
+        assert loaded == counts
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int text limit")
     def test_roundtrip_beyond_the_int_text_limit(self):
-        table = count_hrd_fast(2, 900)
-        assert len(str(table.t[900])) == 684
+        counts = sequence(2, 900)
+        assert len(str(counts[899])) == 684
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            save_table(table)
+            save_table(2, counts)
             loaded = load_table(2)
             limit_after = sys.get_int_max_str_digits()
         finally:
             sys.set_int_max_str_digits(old)
-        assert loaded is not None and loaded.t == table.t
+        assert loaded is not None and loaded == counts
         assert limit_after == 640
 
     def test_missing_table(self):
         assert load_table(3) is None
 
     def test_corrupt_table_discarded(self):
-        path = save_table(count_hrd_fast(5, 8))
+        path = save_table(5, sequence(5, 8))
         path.write_text(path.read_text().replace(" 92\n", " 93\n"))
         assert load_table(5) is None
 
     def test_tampered_final_count_discarded(self):
-        path = save_table(count_hrd_fast(5, 8))
+        path = save_table(5, sequence(5, 8))
         lines = path.read_text().splitlines()
         m, t = lines[-1].split()
         lines[-1] = f"{m} {int(t) + 1}"
@@ -196,9 +194,9 @@ class TestMemo:
     def test_ensure_table_extends_persisted_state(self):
         first = ensure_table(5, 6)
         second = ensure_table(5, 14)
-        assert second.t[: 7] == first.t
-        assert second.t[14] == count_hrd(5, 14)
-        assert load_table(5).n_max == 14
+        assert second[:6] == first
+        assert second[13] == count_hrd(5, 14)
+        assert len(load_table(5)) == 14
 
     def test_ensure_table_without_memo_leaves_no_file(self):
         ensure_table(5, 6, use_memo=False)

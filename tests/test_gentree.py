@@ -24,6 +24,7 @@ from oracles import (
     check_tree,
     enumerate_trees,
     floorplan_of_tree,
+    format_tree_by_fold,
     leaf_count,
     parse_tree,
     perm_of_tree_by_inflation,
@@ -55,6 +56,10 @@ class TestPermOfTree:
     def test_arity_violation(self):
         with pytest.raises(ValueError):
             perm_of_tree(Node(P("12"), (Leaf(),)))
+        # a mismatch below the root raises too
+        nested = Node(P("41352"), (Leaf(), Node(P("21"), (Leaf(), Leaf(), Leaf())), Leaf(), Leaf(), Leaf()))
+        with pytest.raises(ValueError, match="skeleton of length 2 needs 2 children, got 3"):
+            perm_of_tree(nested)
 
 
 class TestTreeOfPerm:
@@ -285,6 +290,18 @@ class TestTextFormat:
     def test_leaf(self):
         assert parse_tree(".") == Leaf()
         assert format_tree(Leaf()) == "."
+
+    def test_same_text_as_the_fold(self):
+        for t in enumerate_trees(5, 5):
+            assert format_tree(t) == format_tree_by_fold(t)
+        labels = simple_baxter_perms(2) + simple_baxter_perms(5) + simple_baxter_perms(7)[:4]
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            t = random_tree(rng, rng.randrange(780, 821), labels)
+            assert format_tree(t) == format_tree_by_fold(t), seed
+        # labels longer than 9 are written spaced
+        wide = Node(Permutation.parse("2 4 1 6 3 8 5 10 7 9"), (Leaf(),) * 10)
+        assert format_tree(wide) == format_tree_by_fold(wide) == "(2 4 1 6 3 8 5 10 7 9 . . . . . . . . . .)"
 
     def test_spaced_labels_accepted(self):
         assert parse_tree("(4 1 3 5 2 . . . . .)") == parse_tree("(41352 . . . . .)")

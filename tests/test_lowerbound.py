@@ -166,7 +166,7 @@ class TestGrowIhrd:
 
     def test_label_without_an_extension_raises(self, monkeypatch):
         # no census stand-in: any answer must contain the input label
-        monkeypatch.setattr(lowerbound, "_is_simple_seq", lambda q: False)
+        monkeypatch.setattr(lowerbound, "_simple", lambda q: False)
         with pytest.raises(RuntimeError):
             lowerbound._grow_label(simple_baxter_perms(7)[0])
 
