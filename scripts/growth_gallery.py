@@ -7,9 +7,8 @@ grown by two rooms at a time.
 
 import argparse
 
-from hrd.counting import census_simple_baxter
-from hrd.floorplan import bp2fp, fp2bp, render
-from hrd.lowerbound import grow_ihrd
+from hrd.floorplan import bp2fp, fp2bp, grow_ihrd, render
+from hrd.perm import census_simple_baxter
 
 
 def main() -> None:

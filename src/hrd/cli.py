@@ -53,7 +53,7 @@ def _cmd_check(args) -> int:
 
         ok = is_simple(p)
     elif args.kind == "ihrd":
-        from .gentree import is_ihrd
+        from .perm import is_ihrd
 
         ok = is_ihrd(p)
     else:
@@ -134,7 +134,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    from .counting import census_simple_baxter
+    from .perm import census_simple_baxter
 
     perms = census_simple_baxter(args.len)
     print(len(perms))
@@ -156,8 +156,7 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_grow_ihrd(args) -> int:
-    from .floorplan import format_floorplan
-    from .lowerbound import grow_ihrd
+    from .floorplan import format_floorplan, grow_ihrd
 
     sys.stdout.write(format_floorplan(grow_ihrd(_floorplan_from_file(args.floorplan))))
     return 0

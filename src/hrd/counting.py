@@ -27,8 +27,8 @@ arithmetic.
 The s_l come from the Baxter numbers, not from a scan of S_l: with no order
 bound every Baxter permutation is an HRD, so the Baxter series B satisfies
 the same equation, B = x + 2B^2/(1+B) + S(B), and reverting B gives S
-(``skeleton_counts``) at any length.  ``census_simple_baxter`` lists the
-skeletons themselves, up to length ``DEFAULT_CENSUS_CAP`` = 11.
+(``skeleton_counts``) at any length.  So counting lists no permutation;
+``perm.census_simple_baxter`` lists the skeletons themselves.
 
 ``sequence`` is the one counting route; it returns the plain list
 [t_1, ..., t_n], which the memo (``save_table``, ``load_table``,
@@ -59,15 +59,8 @@ from math import comb
 from operator import add
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
-from . import CapExceeded, unlimited_int_text
-
-if TYPE_CHECKING:
-    from .perm import Permutation
-
-# longest census: listing length 11 takes about 5 s, length 12 about 30 s
-DEFAULT_CENSUS_CAP = 11
+from . import unlimited_int_text
 
 # tables this short come from the convolution alone, which never loads
 # ``_recurrences`` (about 3 ms to compile) or decodes a class (0.1 ms for
@@ -78,19 +71,6 @@ _CONVOLVED = 80
 
 _MEMO_ENV = "HRD_MEMO_DIR"
 _TABLE_VERSION = "hrd-count-table v2"
-
-
-def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
-    """The skeletons of one length l, whose number is s_l, listed by the
-    pruned search of ``perm.simple_baxter_perms``, for 2 <= length <=
-    DEFAULT_CENSUS_CAP."""
-    if length < 2:
-        raise ValueError("census is defined for lengths >= 2")
-    if length > DEFAULT_CENSUS_CAP:
-        raise CapExceeded(f"census length {length} exceeds the cap {DEFAULT_CENSUS_CAP}")
-    from .perm import simple_baxter_perms
-
-    return simple_baxter_perms(length)
 
 
 def _baxter_number(n: int) -> int:

@@ -26,6 +26,7 @@ down from n, since it always lies nearest the corner; one rank compression
 at the end gives the ranked floorplan, O(n log n) (``bp2fp``).
 Validation, which every function taking an untrusted floorplan runs, is
 O(n) from the room areas and the parity of corner counts (``diagnose``).
+``grow_ihrd`` grows an irreducible floorplan by two rooms through its label.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .perm import Permutation, is_baxter
+from .perm import Permutation, _grow_label, is_baxter, is_simple
 
 
 class Room(NamedTuple):
@@ -83,9 +84,9 @@ def diagnose(f: MosaicFloorplan) -> list[str]:
     is covered an odd number of times, and rooms inside the box with total
     area W*H tile it exactly; a corner of four rooms is then a '+' junction.
     """
-    msgs: list[str] = []
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in (f.width, f.height)):
-        msgs.append(f"bounding rectangle {f.width}x{f.height}: width and height must be integers")
+        return [f"bounding rectangle {f.width}x{f.height}: width and height must be integers"]
+    msgs: list[str] = []
     if f.width < 1 or f.height < 1:
         msgs.append(f"bounding rectangle {f.width}x{f.height} is degenerate")
     if not f.rooms:
@@ -292,6 +293,23 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
         top_slot[label] = len(tops)
         tops.append(label)
     return _ranked((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
+
+
+def grow_ihrd(f: MosaicFloorplan) -> MosaicFloorplan:
+    """Grow an irreducible dissection of order k >= 7 into one of order k+2.
+
+    The label of ``f`` is Baxter, as every ``fp2bp`` result is, so it need
+    only be simple.  The result is rebuilt from ``perm._grow_label``, which
+    returns a simple Baxter permutation two longer, so the postcondition
+    (k+2 rooms, label simple and Baxter) holds by construction; the input's
+    label survives as a pattern of the output's.
+    """
+    label = fp2bp(f)
+    if not is_simple(label):
+        raise ValueError("floorplan is not irreducible: its label permutation is not simple Baxter")
+    if len(label) < 7:
+        raise ValueError("the growth construction applies from order 7 upward")
+    return bp2fp(_grow_label(label))
 
 
 class FloorplanFormatError(ValueError):

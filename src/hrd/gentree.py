@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .perm import Permutation, _Frozen, _split, is_baxter, is_simple
+from .perm import Permutation, _Frozen, _split, is_baxter
 
 
 class NotBaxter(ValueError):
@@ -166,11 +166,6 @@ def is_hrd(p: Permutation, k: int) -> bool:
     if not is_baxter(p):
         return False
     return all(len(skeleton) <= k for skeleton, _ in _walk(p))
-
-
-def is_ihrd(p: Permutation) -> bool:
-    """True iff p labels an irreducible dissection: simple, Baxter, length >= 2."""
-    return len(p) >= 2 and is_baxter(p) and is_simple(p)
 
 
 def hierarchy_order(p: Permutation) -> int:

@@ -1,5 +1,5 @@
-"""Insertion families and irreducible growth: the machinery behind the
-3**(n-k) lower bound on order-k dissections with n rooms.
+"""Insertion families: the machinery behind the 3**(n-k) lower bound on
+order-k dissections with n rooms.
 
 Starting from an irreducible seed of length k, each step inserts the new
 maximum at one of the safe sites of the current permutation: before the
@@ -8,17 +8,16 @@ maximum on either side.  Insertion there can neither create a forbidden
 quadruple nor raise the hierarchy order, so every member of the family
 stays Baxter and order k while remaining outside order k-1.  Using exactly
 three canonical sites per step makes the family size exactly 3**(n-k).
+The default seed is grown by ``perm._grow_label``.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator, NamedTuple
 
 from . import CapExceeded
-from .floorplan import MosaicFloorplan, bp2fp, fp2bp
-from .gentree import hierarchy_order, is_ihrd
-from .perm import Permutation, _is_baxter_seq, _simple, is_baxter, is_simple
+from .gentree import hierarchy_order
+from .perm import Permutation, _grow_label, is_ihrd
 
 # insertions beyond the seed in one family: its 3**10 traces take about
 # 15 s on a 2-vCPU VM, three times the census of length 11
@@ -40,14 +39,10 @@ def safe_sites(p: Permutation) -> list[int]:
 
 
 def _canonical_sites(p: Permutation) -> list[int]:
-    """Exactly three sites per step: drop "after last" when all four are
-    distinct, so the branching is uniform and the family size exact."""
-    sites = safe_sites(p)
-    if len(sites) == 4:
-        sites.remove(len(p))
-    if len(p) >= 2 and len(sites) != 3:
-        raise AssertionError(f"expected 3 distinct sites on {p}, got {sites}")
-    return sites
+    """Exactly three sites per step for length >= 2: the first three safe
+    sites, which drop "after last" when all four are distinct, so the
+    branching is uniform and the family size exact."""
+    return safe_sites(p)[:3]
 
 
 class InsertionTrace(NamedTuple):
@@ -137,43 +132,6 @@ def format_report(r: FamilyReport) -> str:
     )
 
 
-def _one_point_extensions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct permutations one longer than ``vals`` that contain it, in
-    lexicographic order, built one at a time.
-
-    For one new value v the sites already come in order: inserting v before
-    a larger entry precedes every later site, and before a smaller one
-    follows them.  So the sites before larger entries go left to right, then
-    the end, then the sites before smaller entries right to left; heapq.merge
-    interleaves the streams of the n + 1 values, and equal neighbours are
-    dropped.
-    """
-
-    def with_value(v: int) -> Iterator[tuple[int, ...]]:
-        bumped = tuple(x + 1 if x >= v else x for x in vals)
-        n = len(bumped)
-        sites = [i for i in range(n) if v < bumped[i]] + [n] + [i for i in reversed(range(n)) if v > bumped[i]]
-        for i in sites:
-            yield bumped[:i] + (v,) + bumped[i:]
-
-    last = None
-    for q in heapq.merge(*(with_value(v) for v in range(1, len(vals) + 2))):
-        if q != last:
-            yield q
-            last = q
-
-
-def _grow_label(label: Permutation) -> Permutation:
-    """A simple Baxter permutation two longer that contains ``label``: the
-    first hit over the one-point extensions of ``label`` and then of each of
-    those, both lexicographically."""
-    for q1 in _one_point_extensions(label.values):
-        for q2 in _one_point_extensions(q1):
-            if _simple(q2) and _is_baxter_seq(q2):
-                return Permutation(q2)
-    raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
-
-
 def grown_seed(k: int) -> Permutation:
     """The default seed of ``hrd lowerbound``: a simple Baxter permutation of
     length k, 12 for k = 2, otherwise 41352 for odd k and 24853617 for even
@@ -185,21 +143,3 @@ def grown_seed(k: int) -> Permutation:
     while len(p) < k:
         p = _grow_label(p)
     return p
-
-
-def grow_ihrd(f: MosaicFloorplan) -> MosaicFloorplan:
-    """Grow an irreducible dissection of order k >= 7 into one of order k+2.
-
-    The result is rebuilt from a verified simple Baxter label permutation,
-    so the postcondition (k+2 rooms, label simple and Baxter) holds by
-    construction; the input's label survives as a pattern of the output's.
-    """
-    label = fp2bp(f)
-    if not (is_simple(label) and is_baxter(label)):
-        raise ValueError("floorplan is not irreducible: its label permutation is not simple Baxter")
-    if len(label) < 7:
-        raise ValueError("the growth construction applies from order 7 upward")
-    grown = _grow_label(label)
-    if not (len(grown) == len(label) + 2 and is_ihrd(grown)):
-        raise AssertionError(f"growth produced an invalid target {grown}")
-    return bp2fp(grown)

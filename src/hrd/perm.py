@@ -1,15 +1,25 @@
-"""Permutation algebra: Baxter and simple predicates and the canonical
-substitution decomposition.
+"""Permutation algebra: Baxter and simple predicates, the canonical
+substitution decomposition, and the simple Baxter permutations, which label
+the irreducible dissections.
 
 Positions and values are one-indexed throughout.  A permutation of length n
 is a bijection on {1..n} kept in one-line notation, so ``41352`` sends
 position 1 to value 4.
+
+``is_ihrd`` tests irreducibility.  ``census_simple_baxter`` lists the
+simple Baxter permutations of one length, up to ``CENSUS_CAP``, and
+``_grow_label`` finds one two longer that contains a given one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator, NamedTuple
+
+from . import CapExceeded
+
+# longest census: listing length 11 takes about 5 s, length 12 about 30 s
+CENSUS_CAP = 11
 
 
 class _Frozen:
@@ -203,6 +213,11 @@ def is_simple(p: Permutation) -> bool:
     return _simple(p.values)
 
 
+def is_ihrd(p: Permutation) -> bool:
+    """True iff p labels an irreducible dissection: simple, Baxter, length >= 2."""
+    return len(p) >= 2 and is_baxter(p) and is_simple(p)
+
+
 def decompose(p: Permutation) -> Decomposition:
     """The unique canonical decomposition with a simple non-singleton skeleton.
 
@@ -261,3 +276,52 @@ def simple_baxter_perms(length: int) -> tuple[Permutation, ...]:
             continue
         v += 1
     return tuple(out)
+
+
+def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
+    """The skeletons of one length l, whose number is s_l, listed by the
+    pruned search of ``simple_baxter_perms``, for 2 <= length <=
+    CENSUS_CAP."""
+    if length < 2:
+        raise ValueError("census is defined for lengths >= 2")
+    if length > CENSUS_CAP:
+        raise CapExceeded(f"census length {length} exceeds the cap {CENSUS_CAP}")
+    return simple_baxter_perms(length)
+
+
+def _one_point_extensions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations one longer than ``vals`` that contain it, in
+    lexicographic order, built one at a time.
+
+    For one new value v the sites already come in order: inserting v before
+    a larger entry precedes every later site, and before a smaller one
+    follows them.  So the sites before larger entries go left to right, then
+    the end, then the sites before smaller entries right to left; heapq.merge
+    interleaves the streams of the n + 1 values, and equal neighbours are
+    dropped.
+    """
+    import heapq  # here, not at the top: every command loads perm, only growth merges
+
+    def with_value(v: int) -> Iterator[tuple[int, ...]]:
+        bumped = tuple(x + 1 if x >= v else x for x in vals)
+        n = len(bumped)
+        sites = [i for i in range(n) if v < bumped[i]] + [n] + [i for i in reversed(range(n)) if v > bumped[i]]
+        for i in sites:
+            yield bumped[:i] + (v,) + bumped[i:]
+
+    last = None
+    for q in heapq.merge(*(with_value(v) for v in range(1, len(vals) + 2))):
+        if q != last:
+            yield q
+            last = q
+
+
+def _grow_label(label: Permutation) -> Permutation:
+    """A simple Baxter permutation two longer that contains ``label``: the
+    first hit over the one-point extensions of ``label`` and then of each of
+    those, both lexicographically."""
+    for q1 in _one_point_extensions(label.values):
+        for q2 in _one_point_extensions(q1):
+            if _simple(q2) and _is_baxter_seq(q2):
+                return Permutation(q2)
+    raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")

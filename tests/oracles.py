@@ -59,7 +59,7 @@ method; what each takes from the library:
   nothing with the recurrence.
 - ``grow_label_by_sorting`` builds and sorts every one- and two-point
   extension and tests Baxter before simple; the production
-  ``hrd.lowerbound._grow_label`` merges the extensions lazily in the same
+  ``hrd.perm._grow_label`` merges the extensions lazily in the same
   order.  Both test with ``hrd.perm._is_baxter_seq``; the reference tests
   simplicity with ``is_simple_by_scan``, the production route with
   ``hrd.perm._simple``, which reads ``_split``.

@@ -14,14 +14,16 @@ import pytest
 from hrd.perm import (
     Permutation,
     _is_baxter_seq,
+    census_simple_baxter,
     decompose,
     is_baxter,
+    is_ihrd,
     is_simple,
 )
-from hrd.floorplan import bp2fp, diagnose, fp2bp
-from hrd.gentree import is_ihrd, perm_of_tree, tree_of_perm
-from hrd.counting import census_simple_baxter, sequence
-from hrd.lowerbound import grow_ihrd, insertion_family
+from hrd.floorplan import bp2fp, diagnose, fp2bp, grow_ihrd
+from hrd.gentree import perm_of_tree, tree_of_perm
+from hrd.counting import sequence
+from hrd.lowerbound import insertion_family
 
 from oracles import (
     _compositions,

@@ -9,9 +9,9 @@ import hrd.perm
 from hrd import gentree, lowerbound
 from hrd.cli import main, run
 from hrd.counting import load_table, memo_dir
-from hrd.perm import Permutation, is_baxter
+from hrd.perm import Permutation, is_baxter, is_ihrd
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
-from hrd.gentree import is_ihrd, perm_of_tree
+from hrd.gentree import perm_of_tree
 
 from oracles import parse_tree
 

@@ -4,7 +4,6 @@ import pytest
 
 from hrd import CapExceeded
 from hrd.counting import (
-    census_simple_baxter,
     ensure_table,
     load_table,
     memo_dir,
@@ -12,6 +11,7 @@ from hrd.counting import (
     sequence,
     skeleton_counts,
 )
+from hrd.perm import census_simple_baxter
 
 from oracles import _composition_sum, count_hrd, count_hrd_literal, oracle_count
 

@@ -117,7 +117,7 @@ class TestValidate:
         f = MosaicFloorplan(1, 1, (Room(1, 0, 0, 0, 1),))
         assert not validate(f)
 
-    @pytest.mark.parametrize("width, height", [(True, 1), (1.5, 1), (1, 1.0)])
+    @pytest.mark.parametrize("width, height", [(True, 1), (1.5, 1), (1, 1.0), ("2", 1), (None, 1)])
     def test_bounds_must_be_integers(self, width, height):
         f = MosaicFloorplan(width, height, (Room(1, 0, 0, 1, 1),))
         assert diagnose(f) == [f"bounding rectangle {width}x{height}: width and height must be integers"]

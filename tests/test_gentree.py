@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hrd.perm
-from hrd.perm import Permutation, _is_baxter_seq, simple_baxter_perms
+from hrd.perm import Permutation, _is_baxter_seq, is_ihrd, simple_baxter_perms
 from hrd.floorplan import fp2bp
 from hrd.gentree import (
     Leaf,
@@ -15,7 +15,6 @@ from hrd.gentree import (
     format_tree,
     hierarchy_order,
     is_hrd,
-    is_ihrd,
     perm_of_tree,
     tree_of_perm,
 )

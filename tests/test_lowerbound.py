@@ -2,14 +2,13 @@ import itertools
 
 import pytest
 
+import hrd.perm
 from hrd import lowerbound
-from hrd.perm import Permutation, is_baxter, simple_baxter_perms
-from hrd.floorplan import bp2fp, fp2bp
-from hrd.gentree import is_hrd, is_ihrd
+from hrd.perm import Permutation, _one_point_extensions, is_baxter, is_ihrd, simple_baxter_perms
+from hrd.floorplan import bp2fp, fp2bp, grow_ihrd
+from hrd.gentree import is_hrd
 from hrd.lowerbound import (
-    _one_point_extensions,
     format_report,
-    grow_ihrd,
     grown_seed,
     insertion_family,
     insertion_traces,
@@ -142,7 +141,7 @@ class TestGrownSeed:
         for p, top in ((P("41352"), 41), (P("24853617"), 40)):
             while len(p) < top:
                 grown = grow_label_by_sorting(p)
-                assert lowerbound._grow_label(p) == grown
+                assert hrd.perm._grow_label(p) == grown
                 p = grown
             assert grown_seed(top) == p
 
@@ -166,9 +165,9 @@ class TestGrowIhrd:
 
     def test_label_without_an_extension_raises(self, monkeypatch):
         # no census stand-in: any answer must contain the input label
-        monkeypatch.setattr(lowerbound, "_simple", lambda q: False)
+        monkeypatch.setattr(hrd.perm, "_simple", lambda q: False)
         with pytest.raises(RuntimeError):
-            lowerbound._grow_label(simple_baxter_perms(7)[0])
+            hrd.perm._grow_label(simple_baxter_perms(7)[0])
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):

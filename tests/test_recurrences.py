@@ -115,6 +115,13 @@ def test_importing_the_cli_loads_no_layer():
     [
         (["check", "baxter", "2", "4", "1", "3"], "false", ["hrd", "hrd.cli", "hrd.perm"]),
         (["count", "--k", "5", "--n", "40", "--no-memo"], "36124518729790881708258069274", ["hrd", "hrd.cli", "hrd.counting"]),
+        (["census", "--len", "7"], "12", ["hrd", "hrd.cli", "hrd.perm"]),
+        (["check", "ihrd", "25314"], "true", ["hrd", "hrd.cli", "hrd.perm"]),
+        (
+            ["lowerbound", "--k", "5", "--n", "6", "--seed", "41352"],
+            "seed=41352 k=5 n=6 family=3 expected=3 all_baxter=True all_hrd_k=True none_hrd_k-1=True",
+            ["hrd", "hrd.cli", "hrd.gentree", "hrd.lowerbound", "hrd.perm"],
+        ),
     ],
 )
 def test_a_command_loads_only_its_layer(argv, out, loaded):
