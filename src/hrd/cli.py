@@ -257,9 +257,5 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

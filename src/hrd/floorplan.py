@@ -24,8 +24,10 @@ Insertions keep the left and top boundary rooms as two stacks, which only
 change at the corner end, and give each fresh line a coordinate counting
 down from n, since it always lies nearest the corner; one rank compression
 at the end gives the ranked floorplan, O(n log n) (``bp2fp``).
-Validation, which every function taking an untrusted floorplan runs, is
-O(n) from the room areas and the parity of corner counts (``diagnose``).
+Validation is O(n) from the room areas and the parity of corner counts
+(``diagnose``).  It runs once, in the function that uses the floorplan:
+``fp2bp`` and ``render`` check their input, and ``grow_ihrd`` through
+``fp2bp``; ``parse_floorplan`` checks only the text format.
 ``grow_ihrd`` grows an irreducible floorplan by two rooms through its label.
 """
 
@@ -101,9 +103,12 @@ def diagnose(f: MosaicFloorplan) -> list[str]:
         else:
             if not (0 <= r.x1 < r.x2 <= f.width and 0 <= r.y1 < r.y2 <= f.height):
                 msgs.append(f"room {r.id}: rectangle ({r.x1},{r.y1})-({r.x2},{r.y2}) is not a proper box inside the bounds")
-        if r.id in seen_ids:
-            msgs.append(f"duplicate room id {r.id}")
-        seen_ids.add(r.id)
+        try:
+            if r.id in seen_ids:
+                msgs.append(f"duplicate room id {r.id}")
+            seen_ids.add(r.id)
+        except TypeError:
+            msgs.append(f"room {r.id}: id must be hashable")
     if msgs:
         return msgs
 
@@ -321,7 +326,13 @@ class FloorplanFormatError(ValueError):
 
 
 def parse_floorplan(text: str) -> MosaicFloorplan:
-    """Parse the text format: ``W H n`` then n lines ``id x1 y1 x2 y2``."""
+    """Parse the text format: ``W H n`` then n lines ``id x1 y1 x2 y2``.
+
+    Only the text is checked here, each error citing its line: the header
+    is three integers, each room line five, blank lines are skipped, and
+    the room count is n.  The geometry is checked once, by ``diagnose``, in
+    the function that uses the floorplan (``fp2bp``, ``render``).
+    """
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise FloorplanFormatError(1, "missing 'W H n' header")
@@ -332,8 +343,6 @@ def parse_floorplan(text: str) -> MosaicFloorplan:
         width, height, n = (int(tok) for tok in head)
     except ValueError:
         raise FloorplanFormatError(1, "header must be three integers: W H n") from None
-    if n < 1:
-        raise FloorplanFormatError(1, f"room count {n} must be >= 1")
     rooms = []
     lineno = 1
     for raw in lines[1:]:
@@ -344,19 +353,12 @@ def parse_floorplan(text: str) -> MosaicFloorplan:
         if len(toks) != 5:
             raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2")
         try:
-            rid, x1, y1, x2, y2 = (int(tok) for tok in toks)
+            rooms.append(Room(*(int(tok) for tok in toks)))
         except ValueError:
             raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2") from None
-        if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
-            raise FloorplanFormatError(lineno, f"room {rid}: rectangle ({x1},{y1})-({x2},{y2}) is not a proper box inside {width}x{height}")
-        rooms.append(Room(rid, x1, y1, x2, y2))
     if len(rooms) != n:
         raise FloorplanFormatError(lineno, f"header announced {n} rooms, found {len(rooms)}")
-    f = MosaicFloorplan(width, height, tuple(rooms))
-    msgs = diagnose(f)
-    if msgs:
-        raise FloorplanFormatError(1, "; ".join(msgs))
-    return f
+    return MosaicFloorplan(width, height, tuple(rooms))
 
 
 def format_floorplan(f: MosaicFloorplan) -> str:

@@ -7,8 +7,9 @@ is a bijection on {1..n} kept in one-line notation, so ``41352`` sends
 position 1 to value 4.
 
 ``is_ihrd`` tests irreducibility.  ``census_simple_baxter`` lists the
-simple Baxter permutations of one length, up to ``CENSUS_CAP``, and
-``_grow_label`` finds one two longer that contains a given one.
+simple Baxter permutations of one length from 2 up to ``CENSUS_CAP`` by
+one cached, pruned search, and ``_grow_label`` finds one two longer that
+contains a given one.
 """
 
 from __future__ import annotations
@@ -232,8 +233,9 @@ def decompose(p: Permutation) -> Decomposition:
 
 
 @lru_cache(maxsize=None)
-def simple_baxter_perms(length: int) -> tuple[Permutation, ...]:
-    """All simple Baxter permutations of a given length, lexicographically.
+def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
+    """The skeletons of one length l, 2 <= l <= CENSUS_CAP, whose number is
+    s_l: all simple Baxter permutations of that length, lexicographically.
 
     Depth-first search over prefixes, smallest value first, on an explicit
     stack.  A prefix is dropped once it holds a Baxter violation between two
@@ -244,8 +246,10 @@ def simple_baxter_perms(length: int) -> tuple[Permutation, ...]:
     tested when the last entry it involves is placed, so the survivors of
     full length are exactly the simple Baxter permutations.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    if length < 2:
+        raise ValueError("census is defined for lengths >= 2")
+    if length > CENSUS_CAP:
+        raise CapExceeded(f"census length {length} exceeds the cap {CENSUS_CAP}")
     n = length
     vals: list[int] = []
     pos = [-1] * (n + 2)  # index of each placed value; -1 also for 0 and n+1
@@ -276,17 +280,6 @@ def simple_baxter_perms(length: int) -> tuple[Permutation, ...]:
             continue
         v += 1
     return tuple(out)
-
-
-def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
-    """The skeletons of one length l, whose number is s_l, listed by the
-    pruned search of ``simple_baxter_perms``, for 2 <= length <=
-    CENSUS_CAP."""
-    if length < 2:
-        raise ValueError("census is defined for lengths >= 2")
-    if length > CENSUS_CAP:
-        raise CapExceeded(f"census length {length} exceeds the cap {CENSUS_CAP}")
-    return simple_baxter_perms(length)
 
 
 def _one_point_extensions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

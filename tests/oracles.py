@@ -10,7 +10,7 @@ method; what each takes from the library:
   off the canonical decomposition (``hrd.perm._split``).
 - ``simple_baxter_perms_by_scan`` filters the whole symmetric group with
   ``hrd.perm._is_baxter_seq`` and ``is_simple_by_scan``; the production
-  ``simple_baxter_perms`` prunes prefixes instead.
+  ``census_simple_baxter`` prunes prefixes instead.
 - ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
   ``_insert_top_left`` below, which rank-compresses through
   ``hrd.floorplan._ranked``; the production ``bp2fp`` places its rooms on
@@ -34,7 +34,7 @@ method; what each takes from the library:
 - ``floorplan_of_tree`` folds a tree with ``_fold``, draws each
   node's label with the production ``bp2fp`` and embeds the children
   through ``_ranked``.  ``enumerate_trees`` takes its labels
-  from ``hrd.perm.simple_baxter_perms`` and builds every tree bottom-up.
+  from ``hrd.perm.census_simple_baxter`` and builds every tree bottom-up.
 - ``decompositions_by_copies`` walks p's recursive canonical decomposition
   by calling ``hrd.perm.decompose`` on a re-ranked copy of every part, and
   ``tree_of_perm_by_copies`` builds the tree from it; the production walk
@@ -93,8 +93,8 @@ from hrd.perm import (
     _is_baxter_seq,
     decompose,
     is_baxter,
+    census_simple_baxter,
     is_simple,
-    simple_baxter_perms,
 )
 
 _P12 = Permutation((1, 2))
@@ -876,7 +876,7 @@ def _trees(k: int, n: int) -> tuple[GenTree, ...]:
         return (Leaf(),)
     out: list[GenTree] = []
     for length in range(2, min(k, n) + 1):
-        for label in simple_baxter_perms(length):
+        for label in census_simple_baxter(length):
             restricted = label if label in (_P12, _P21) else None
             for comp in _compositions(n, length):
                 for kids in itertools.product(*(_trees(k, m) for m in comp)):

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
+import hrd.floorplan
 import hrd.perm
 from hrd import gentree, lowerbound
-from hrd.cli import main, run
+from hrd.cli import run
 from hrd.counting import load_table, memo_dir
-from hrd.perm import Permutation, is_baxter, is_ihrd
+from hrd.perm import Permutation, census_simple_baxter, is_baxter, is_ihrd
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
 from hrd.gentree import perm_of_tree
 
@@ -251,6 +252,35 @@ class TestFloorplanCommands:
         code, _, err = invoke(capsys, command, str(path))
         assert code == 2 and "overlap" in err and "(1,0)" in err
 
+    @pytest.mark.parametrize("command", ["fp2bp", "render", "grow-ihrd"])
+    def test_checks_the_geometry_once(self, capsys, tmp_path, monkeypatch, command):
+        calls = []
+        diagnose = hrd.floorplan.diagnose
+
+        def counted(f):
+            calls.append(f)
+            return diagnose(f)
+
+        monkeypatch.setattr(hrd.floorplan, "diagnose", counted)
+        path = tmp_path / "ihrd7.fp"
+        path.write_text(format_floorplan(bp2fp(census_simple_baxter(7)[0])))
+        assert invoke(capsys, command, str(path))[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["fp2bp", "render", "grow-ihrd"])
+    @pytest.mark.parametrize(
+        "text, defect",
+        [
+            ("2 1 2\n1 0 0 1 1\n7 1 0 3 1\n", "room 7: rectangle (1,0)-(3,1) is not a proper box inside the bounds"),
+            ("2 1 2\n1 0 0 1 1\n1 1 0 2 1\n", "duplicate room id 1"),
+        ],
+        ids=["outside-the-box", "duplicate-id"],
+    )
+    def test_geometry_errors_are_the_library_message(self, capsys, tmp_path, command, text, defect):
+        path = tmp_path / "bad.fp"
+        path.write_text(text)
+        assert invoke(capsys, command, str(path)) == (2, "", f"error: invalid mosaic floorplan: {defect}\n")
+
 
 class TestDecomposeAndTree:
     def test_decompose(self, capsys):
@@ -344,10 +374,8 @@ class TestLowerboundCommand:
 
 class TestGrowIhrdCommand:
     def test_grow_from_census_seed(self, capsys, tmp_path):
-        from hrd.perm import simple_baxter_perms
-
         seed = tmp_path / "ihrd7.fp"
-        seed.write_text(format_floorplan(bp2fp(simple_baxter_perms(7)[0])))
+        seed.write_text(format_floorplan(bp2fp(census_simple_baxter(7)[0])))
         code, out, _ = invoke(capsys, "grow-ihrd", str(seed))
         assert code == 0
         grown = parse_floorplan(out)
@@ -367,10 +395,6 @@ def test_readme_examples_use_documented_options(capsys):
         documented = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         for opt in (tok for tok in argv[2:] if tok.startswith("--")):
             assert opt in documented, (argv, opt)
-
-
-def test_main_is_run():
-    assert main(["check", "baxter", "41352"]) == 0
 
 
 def test_usage_error_exits_two(capsys):

@@ -117,6 +117,10 @@ class TestValidate:
         f = MosaicFloorplan(1, 1, (Room(1, 0, 0, 0, 1),))
         assert not validate(f)
 
+    @pytest.mark.parametrize("rid, msgs", [([1], ["room [1]: id must be hashable"]), ("a", []), ((1, 2), [])])
+    def test_room_ids_need_only_be_hashable(self, rid, msgs):
+        assert diagnose(MosaicFloorplan(1, 1, (Room(rid, 0, 0, 1, 1),))) == msgs
+
     @pytest.mark.parametrize("width, height", [(True, 1), (1.5, 1), (1, 1.0), ("2", 1), (None, 1)])
     def test_bounds_must_be_integers(self, width, height):
         f = MosaicFloorplan(width, height, (Room(1, 0, 0, 1, 1),))
@@ -442,10 +446,30 @@ class TestTextFormat:
         assert err.value.lineno == 2
 
     def test_invalid_mosaic_rejected(self):
-        text = "2 2 4\n1 0 0 1 1\n2 1 0 2 1\n3 0 1 1 2\n4 1 1 2 2\n"
-        with pytest.raises(FloorplanFormatError) as err:
-            parse_floorplan(text)
-        assert "junction" in str(err.value)
+        # the parser reads the text; the geometry is checked where it is used
+        f = parse_floorplan("2 2 4\n1 0 0 1 1\n2 1 0 2 1\n3 0 1 1 2\n4 1 1 2 2\n")
+        for use in (fp2bp, render):
+            with pytest.raises(ValueError, match="junction"):
+                use(f)
+
+    def test_uses_reject_exactly_what_diagnose_rejects(self):
+        rng = random.Random(7)
+        rejected = 0
+        for n in range(1, 6):
+            for f in enumerate_floorplans(n):
+                for rooms in [f.rooms, *perturbed(rng, f)]:
+                    h = MosaicFloorplan(f.width, f.height, tuple(rooms))
+                    parsed = parse_floorplan(format_floorplan(h))
+                    bad = bool(diagnose(h))
+                    for use in (fp2bp, render):
+                        if bad:
+                            with pytest.raises(ValueError, match="invalid mosaic floorplan"):
+                                use(parsed)
+                        else:
+                            use(parsed)
+                    rejected += bad
+        # 123 plans, each with four defective copies, less the single room's shift
+        assert rejected == 123 * 4 - 1
 
     def test_room_count_mismatch(self):
         with pytest.raises(FloorplanFormatError):

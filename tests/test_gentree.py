@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hrd.perm
-from hrd.perm import Permutation, _is_baxter_seq, is_ihrd, simple_baxter_perms
+from hrd.perm import Permutation, _is_baxter_seq, census_simple_baxter, is_ihrd
 from hrd.floorplan import fp2bp
 from hrd.gentree import (
     Leaf,
@@ -201,7 +201,7 @@ class TestWalkMatchesCopies:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_trees_of_800_elements(self, seed):
         rng = random.Random(seed)
-        labels = simple_baxter_perms(2) + simple_baxter_perms(5) + simple_baxter_perms(7)[:4]
+        labels = census_simple_baxter(2) + census_simple_baxter(5) + census_simple_baxter(7)[:4]
         t = random_tree(rng, rng.randrange(780, 821), labels)
         p = perm_of_tree_by_inflation(t)
         assert perm_of_tree(t) == p
@@ -293,7 +293,7 @@ class TestTextFormat:
     def test_same_text_as_the_fold(self):
         for t in enumerate_trees(5, 5):
             assert format_tree(t) == format_tree_by_fold(t)
-        labels = simple_baxter_perms(2) + simple_baxter_perms(5) + simple_baxter_perms(7)[:4]
+        labels = census_simple_baxter(2) + census_simple_baxter(5) + census_simple_baxter(7)[:4]
         for seed in (1, 2, 3):
             rng = random.Random(seed)
             t = random_tree(rng, rng.randrange(780, 821), labels)

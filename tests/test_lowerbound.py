@@ -4,7 +4,7 @@ import pytest
 
 import hrd.perm
 from hrd import lowerbound
-from hrd.perm import Permutation, _one_point_extensions, is_baxter, is_ihrd, simple_baxter_perms
+from hrd.perm import Permutation, _one_point_extensions, census_simple_baxter, is_baxter, is_ihrd
 from hrd.floorplan import bp2fp, fp2bp, grow_ihrd
 from hrd.gentree import is_hrd
 from hrd.lowerbound import (
@@ -148,18 +148,18 @@ class TestGrownSeed:
 
 class TestGrowIhrd:
     def test_growth_chain_from_seven(self):
-        f = bp2fp(simple_baxter_perms(7)[0])
+        f = bp2fp(census_simple_baxter(7)[0])
         for rooms in (9, 11):
             f = grow_ihrd(f)
             assert validate(f) and f.n == rooms
             assert is_ihrd(fp2bp(f))
 
     def test_growth_from_eight(self):
-        f10 = grow_ihrd(bp2fp(simple_baxter_perms(8)[0]))
+        f10 = grow_ihrd(bp2fp(census_simple_baxter(8)[0]))
         assert f10.n == 10 and is_ihrd(fp2bp(f10))
 
     def test_seed_label_survives_as_pattern(self):
-        seed = simple_baxter_perms(7)[0]
+        seed = census_simple_baxter(7)[0]
         grown = fp2bp(grow_ihrd(bp2fp(seed)))
         assert contains_pattern_bruteforce(grown.values, seed.values)
 
@@ -167,7 +167,7 @@ class TestGrowIhrd:
         # no census stand-in: any answer must contain the input label
         monkeypatch.setattr(hrd.perm, "_simple", lambda q: False)
         with pytest.raises(RuntimeError):
-            hrd.perm._grow_label(simple_baxter_perms(7)[0])
+            hrd.perm._grow_label(census_simple_baxter(7)[0])
 
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):
