@@ -124,12 +124,8 @@ def _cmd_sequence(args) -> int:
     from .counting import ensure_table
 
     counts = ensure_table(args.k, args.max, use_memo=not args.no_memo)[: args.max]
-    if args.csv:
-        for n, c in enumerate(counts, 1):
-            print(f"{n},{c}")
-    else:
-        for c in counts:
-            print(c)
+    for n, c in enumerate(counts, 1):
+        print(f"{n},{c}" if args.csv else c)
     return 0
 
 

@@ -184,10 +184,7 @@ def sequence(k: int, n_max: int) -> list[int]:
 
 
 def memo_dir() -> Path:
-    env = os.environ.get(_MEMO_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "hrd"
+    return Path(os.environ.get(_MEMO_ENV) or Path.home() / ".cache" / "hrd")
 
 
 def _table_path(k: int) -> Path:

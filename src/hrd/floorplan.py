@@ -23,7 +23,8 @@ slides at most once per axis, so a whole deletion order costs O(n)
 Insertions keep the left and top boundary rooms as two stacks, which only
 change at the corner end, and give each fresh line a coordinate counting
 down from n, since it always lies nearest the corner; one rank compression
-at the end gives the ranked floorplan, O(n log n) (``bp2fp``).
+at the end gives the ranked floorplan, O(n log n) (``bp2fp``).  They are
+also its Baxter check: a p that is not Baxter leaves some label no slot.
 Validation is O(n) from the room areas and the parity of corner counts
 (``diagnose``).  It runs once, in the function that uses the floorplan:
 ``fp2bp`` and ``render`` check their input, and ``grow_ihrd`` through
@@ -36,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .perm import Permutation, _grow_label, is_baxter, is_simple
+from .perm import Permutation, _grow_label, is_simple
 
 
 class Room(NamedTuple):
@@ -255,11 +256,13 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
       so every coordinate is written once and rank-compressed once at the
       end, in O(n log n).
 
-    Beyond that the cost is the ``is_baxter`` check on the input.  Room ids
-    of the result equal the top-left deletion labels.
+    The insertions also check that p is Baxter.  Each inverts a top-left
+    deletion and puts label i between its neighbours in the bottom-left
+    reading, so when every label finds its slot the result is a mosaic
+    floorplan whose ``fp2bp`` is p, and p is Baxter, as every ``fp2bp``
+    image is.  Any other p leaves some label no slot and raises ValueError.
+    Room ids of the result equal the top-left deletion labels.
     """
-    if not is_baxter(p):
-        raise ValueError("bp2fp requires a Baxter permutation")
     n = len(p)
     after = [0] * (n + 1)  # next greater value to the right in p, 0 if none
     before = [0] * (n + 1)  # previous greater value to the left in p, 0 if none
@@ -292,7 +295,7 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
             del tops[j:]
             x2[label], y2[label] = x2[u], label
         else:
-            raise AssertionError(f"no insertion places label {label}; input was not Baxter?")
+            raise ValueError("bp2fp requires a Baxter permutation")
         left_slot[label] = len(lefts)
         lefts.append(label)
         top_slot[label] = len(tops)
@@ -362,10 +365,11 @@ def parse_floorplan(text: str) -> MosaicFloorplan:
 
 
 def format_floorplan(f: MosaicFloorplan) -> str:
-    lines = [f"{f.width} {f.height} {f.n}"]
-    for r in sorted(f.rooms, key=lambda r: r.id):
-        lines.append(f"{r.id} {r.x1} {r.y1} {r.x2} {r.y2}")
-    return "\n".join(lines) + "\n"
+    try:
+        rooms = sorted(f.rooms, key=lambda r: r.id)
+    except TypeError:  # ids that do not compare, say 'a' and 1, keep their order
+        rooms = f.rooms
+    return "".join([f"{f.width} {f.height} {f.n}\n"] + [f"{r.id} {r.x1} {r.y1} {r.x2} {r.y2}\n" for r in rooms])
 
 
 def _cell_width(f: MosaicFloorplan) -> int:

@@ -11,10 +11,11 @@ exactly its recursive canonical decomposition.
 The permutation side is one decomposition walk (``_walk``) over index
 ranges of the permutation's values: each node costs one prefix scan up to
 its first sum cut, or O(size * blocks) when its skeleton is longer than 2,
-and no node copies its children.  ``tree_of_perm``, ``is_hrd`` and
-``hierarchy_order`` read that walk.  The tree side walks the nodes in
-preorder on an explicit stack (``_nodes``): ``perm_of_tree`` takes subtree
-sizes in reverse preorder and then places every leaf top-down, and
+and no node copies its children.  The walk also decides Baxter, since p is
+Baxter exactly when every skeleton is, so ``tree_of_perm``, ``is_hrd`` and
+``hierarchy_order`` read p once, in that walk.  The tree side walks the
+nodes in preorder on an explicit stack (``_nodes``): ``perm_of_tree`` takes
+subtree sizes in reverse preorder and then places every leaf top-down, and
 ``format_tree`` writes the text in one preorder pass.  Node equality,
 hashing and repr go through that text, so nothing recurses on an input's
 nesting depth and each costs time linear in the tree's size.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .perm import Permutation, _Frozen, _split, is_baxter
+from .perm import Permutation, _Frozen, _is_baxter_seq, _split, is_baxter
 
 
 class NotBaxter(ValueError):
@@ -121,18 +122,20 @@ def perm_of_tree(t: GenTree) -> Permutation:
 def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
     """The unique skewed generating tree of order k evaluating to ``p``.
 
-    Raises ``NotBaxter`` before it checks k, so a caller can tell a
-    non-Baxter input from an invalid order without a second Baxter test.
     Returns None when some skeleton of the recursive canonical decomposition
-    is longer than k, i.e. when p is not an order-k permutation.
+    is longer than k, i.e. when p is not an order-k permutation.  The walk
+    checks every skeleton for Baxter, so a tree needs no other check.  Only
+    when a skeleton longer than k stops the walk early, or k < 2, does
+    ``is_baxter(p)`` run, to raise ``NotBaxter`` (before k is checked) for a
+    p that is not Baxter.
     """
-    if not is_baxter(p):
-        raise NotBaxter("generating trees exist only for Baxter permutations")
-    if k < 2:
+    if k < 2 and is_baxter(p):  # a p that is not Baxter raises NotBaxter below
         raise ValueError("order k must be >= 2")
     parts = []
     for skeleton, kids in _walk(p):
         if len(skeleton) > k:
+            if not is_baxter(p):  # the walk stopped before it read all of p
+                raise NotBaxter("generating trees exist only for Baxter permutations")
             return None
         parts.append((skeleton, kids))
     built: list[GenTree] = []
@@ -147,7 +150,12 @@ def _walk(p: Permutation) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int
     decomposition, parents first and children left to right.
 
     Iterative, so nesting depth is unbounded; lazy, so a caller that stops
-    early splits nothing further.
+    early splits nothing further.  Raises ``NotBaxter`` at the first
+    skeleton that is not Baxter, which decides p: blocks are value
+    intervals, so an occurrence of 2-41-3 or 3-14-2 in p lies inside one
+    block or among the blocks of one skeleton, and one among the blocks
+    lifts to p, its adjacent pair through the last entry of the left block
+    and the first entry of the right one.
     """
     vals = p.values
     stack = [(0, len(vals), 1)]
@@ -155,6 +163,8 @@ def _walk(p: Permutation) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int
         a, b, lo = stack.pop()
         if b - a > 1:
             skeleton, kids = _split(vals, a, b, lo)
+            if len(skeleton) > 2 and not _is_baxter_seq(skeleton):
+                raise NotBaxter("generating trees exist only for Baxter permutations")
             yield skeleton, kids
             stack.extend(reversed(kids))
 
@@ -163,16 +173,19 @@ def is_hrd(p: Permutation, k: int) -> bool:
     """True iff p labels an order-k hierarchical dissection."""
     if k < 2:
         raise ValueError("order k must be >= 2")
-    if not is_baxter(p):
+    try:
+        return all(len(skeleton) <= k for skeleton, _ in _walk(p))
+    except NotBaxter:
         return False
-    return all(len(skeleton) <= k for skeleton, _ in _walk(p))
 
 
 def hierarchy_order(p: Permutation) -> int:
-    """Smallest k for which ``is_hrd(p, k)`` holds (1 for the singleton)."""
-    if not is_baxter(p):
-        raise ValueError("hierarchy order is defined for Baxter permutations")
-    return max((len(skeleton) for skeleton, _ in _walk(p)), default=1)
+    """Smallest k for which ``is_hrd(p, k)`` holds (1 for the singleton).
+    The walk reads every skeleton, so it alone decides that p is Baxter."""
+    try:
+        return max((len(skeleton) for skeleton, _ in _walk(p)), default=1)
+    except NotBaxter:
+        raise ValueError("hierarchy order is defined for Baxter permutations") from None
 
 
 def format_tree(t: GenTree) -> str:

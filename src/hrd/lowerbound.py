@@ -102,9 +102,8 @@ def insertion_family(k: int, n: int, seed: Permutation | None = None) -> FamilyR
     all_baxter = all_hrd_k = none_below = True
     for trace in insertion_traces(k, n, seed):
         count += 1
-        q = trace.current
         try:
-            order = hierarchy_order(q)  # checks Baxter first, then one walk
+            order = hierarchy_order(trace.current)  # one walk: Baxter and the order
         except ValueError:
             all_baxter = all_hrd_k = False
             continue
@@ -112,16 +111,7 @@ def insertion_family(k: int, n: int, seed: Permutation | None = None) -> FamilyR
             all_hrd_k = False
         if k > 2 and order < k:
             none_below = False
-    return FamilyReport(
-        seed=seed,
-        k=k,
-        n=n,
-        count=count,
-        expected=3 ** (n - k),
-        all_baxter=all_baxter,
-        all_hrd_k=all_hrd_k,
-        none_hrd_below=none_below,
-    )
+    return FamilyReport(seed, k, n, count, 3 ** (n - k), all_baxter, all_hrd_k, none_below)
 
 
 def format_report(r: FamilyReport) -> str:

@@ -6,11 +6,10 @@ from pathlib import Path
 import pytest
 
 import hrd.floorplan
-import hrd.perm
 from hrd import gentree, lowerbound
 from hrd.cli import run
 from hrd.counting import load_table, memo_dir
-from hrd.perm import Permutation, census_simple_baxter, is_baxter, is_ihrd
+from hrd.perm import Permutation, census_simple_baxter, is_ihrd
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
 from hrd.gentree import perm_of_tree
 
@@ -304,19 +303,27 @@ class TestDecomposeAndTree:
         assert (code, out) == (2, "") and "order k must be >= 2" in err
         assert invoke(capsys, "tree", "2413", "--k", "1") == (1, "no order-1 tree: not a Baxter permutation\n", "")
 
-    def test_tree_checks_baxter_once(self, capsys, monkeypatch):
-        calls = []
+    def test_no_whole_permutation_baxter_scan(self, capsys, monkeypatch):
+        def forbidden(p):
+            raise AssertionError(f"is_baxter({p}) called")
 
-        def counted(p):
-            calls.append(p)
-            return is_baxter(p)
-
-        # gentree holds its own name; the CLI reads hrd.perm's when it runs
-        monkeypatch.setattr(gentree, "is_baxter", counted)
-        monkeypatch.setattr(hrd.perm, "is_baxter", counted)
-        assert invoke(capsys, "tree", "451362", "--k", "5")[0] == 0
-        assert invoke(capsys, "tree", "2413", "--k", "5")[0] == 1
-        assert len(calls) == 2
+        # the walk and bp2fp's insertions decide Baxter; floorplan binds no is_baxter
+        monkeypatch.setattr(gentree, "is_baxter", forbidden)
+        assert not hasattr(hrd.floorplan, "is_baxter")
+        wheel = "4 3 6\n1 0 0 1 2\n2 1 0 4 1\n3 1 1 3 2\n4 0 2 2 3\n5 2 2 3 3\n6 3 1 4 3\n"
+        assert invoke(capsys, "tree", "451362", "--k", "5") == (0, "(41352 (12 . .) . . . .)\n", "")
+        assert invoke(capsys, "check", "hrd", "--k", "5", "451362") == (0, "true\n", "")
+        assert invoke(capsys, "bp2fp", "451362") == (0, wheel, "")
+        assert invoke(capsys, "lowerbound", "--k", "5", "--n", "7", "--seed", "41352") == (
+            0,
+            "seed=41352 k=5 n=7 family=9 expected=9 all_baxter=True all_hrd_k=True none_hrd_k-1=True\n",
+            "",
+        )
+        # 124635 is 1 (+) 1 (+) 2413: the walk meets the 2413 two levels down
+        for perm in ("2413", "124635"):
+            assert invoke(capsys, "bp2fp", perm) == (2, "", "error: bp2fp requires a Baxter permutation\n")
+            assert invoke(capsys, "check", "hrd", "--k", "5", perm) == (1, "false\n", "")
+            assert invoke(capsys, "tree", perm, "--k", "5") == (1, "no order-5 tree: not a Baxter permutation\n", "")
 
 
 class TestLowerboundCommand:

@@ -190,6 +190,24 @@ class TestBp2fp:
         with pytest.raises(ValueError):
             bp2fp(P("2413"))
 
+    def test_insertions_reject_exactly_the_non_baxter_permutations(self):
+        """The insertions are bp2fp's only Baxter check: a label without a
+        slot raises, for every permutation of length <= 8 that is not Baxter
+        and for no other."""
+        rejected = 0
+        for n in range(1, 9):
+            for vals in itertools.permutations(range(1, n + 1)):
+                p = Permutation(vals)
+                try:
+                    bp2fp(p)
+                except ValueError as e:
+                    assert str(e) == "bp2fp requires a Baxter permutation" and not is_baxter(p), p
+                    rejected += 1
+                else:
+                    assert is_baxter(p), p
+        # 46233 permutations of length <= 8, 13373 of them Baxter
+        assert rejected == 46233 - 13373
+
     def test_room_ids_are_deletion_labels(self):
         wheel = bp2fp(P("41352"))
         assert sorted(r.id for r in wheel.rooms) == [1, 2, 3, 4, 5]
@@ -474,6 +492,16 @@ class TestTextFormat:
     def test_room_count_mismatch(self):
         with pytest.raises(FloorplanFormatError):
             parse_floorplan("1 1 2\n1 0 0 1 1\n")
+
+    def test_rooms_are_sorted_by_id_when_the_ids_compare(self):
+        left, right = Room(2, 0, 0, 1, 1), Room(1, 1, 0, 2, 1)
+        assert format_floorplan(MosaicFloorplan(2, 1, (left, right))) == "2 1 2\n1 1 0 2 1\n2 0 0 1 1\n"
+        # 'a' and 1 do not compare, so the rooms keep their order, as diagnose,
+        # fp2bp and render accept them
+        for rooms in [(left._replace(id="a"), right), (right, left._replace(id="a"))]:
+            f = MosaicFloorplan(2, 1, rooms)
+            assert not diagnose(f) and fp2bp(f) == P("12") and render(f)
+            assert format_floorplan(f) == "2 1 2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rooms)
 
 
 class TestRender:

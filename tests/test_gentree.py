@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hrd.perm
-from hrd.perm import Permutation, _is_baxter_seq, census_simple_baxter, is_ihrd
-from hrd.floorplan import fp2bp
+from hrd.perm import Permutation, _is_baxter_seq, census_simple_baxter, is_baxter, is_ihrd
+from hrd.floorplan import bp2fp, fp2bp
 from hrd.gentree import (
     Leaf,
     Node,
@@ -215,6 +215,83 @@ class TestWalkMatchesCopies:
         assert perm_of_tree(t) == p
         _agrees_with_copies(p, (6, 7))
         assert tree_of_perm(p, 7) == t
+
+
+def _odd_up_even_down(n: int) -> tuple[int, ...]:
+    """1 3 5 ... n-1 n n-2 ... 4 2 for even n: Baxter, and the slowest
+    input for ``is_baxter``."""
+    return tuple(range(1, n, 2)) + (n,) + tuple(range(n - 2, 0, -2))
+
+
+def _inflate_entry(vals: tuple[int, ...], i: int, pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """``vals`` with its i-th entry inflated by ``pattern``."""
+    v, m = vals[i], len(pattern)
+    up = [x + m - 1 if x > v else x for x in vals]
+    return tuple(up[:i] + [v - 1 + x for x in pattern] + up[i + 1 :])
+
+
+def _swapped(vals: tuple[int, ...], j: int) -> tuple[int, ...]:
+    return vals[:j] + (vals[j + 1], vals[j]) + vals[j + 2 :]
+
+
+class TestOneReadDecidesBaxter:
+    """Nothing but the walk decides Baxter for ``tree_of_perm``, ``is_hrd``
+    and ``hierarchy_order``, and nothing but the insertions for ``bp2fp``:
+    each must agree with ``is_baxter``."""
+
+    def test_every_permutation_of_length_8(self):
+        baxter = 0
+        for vals in itertools.permutations(range(1, 9)):
+            p = Permutation(vals)
+            expected = _is_baxter_seq(vals)
+            baxter += expected
+            assert is_hrd(p, 8) == expected, p
+            try:
+                hierarchy_order(p)
+            except ValueError:
+                assert not expected, p
+            else:
+                assert expected, p
+        assert baxter == 10754
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_inputs(self, seed):
+        """A random tree, the same with one leaf inflated by 2413 or 3142,
+        and the odd-up/even-down chain as it is, transposed at its peak
+        (still Baxter) and transposed at a random place."""
+        rng = random.Random(seed)
+        labels = census_simple_baxter(2) + census_simple_baxter(5) + census_simple_baxter(7)[:4]
+        tree = perm_of_tree(random_tree(rng, rng.randrange(500, 3001), labels)).values
+        bad = _inflate_entry(tree, rng.randrange(len(tree)), rng.choice([(2, 4, 1, 3), (3, 1, 4, 2)]))
+        n = 2 * rng.randrange(250, 751)
+        chain = _odd_up_even_down(n)
+        inputs = [tree, bad, chain, _swapped(chain, n // 2 - 1), _swapped(chain, rng.randrange(n - 1))]
+        seen = []
+        for vals in inputs:
+            p = Permutation(vals)
+            expected = is_baxter(p)
+            seen.append(expected)
+            assert is_hrd(p, len(p)) == expected
+            for k in (2, len(p)):
+                try:
+                    t = tree_of_perm(p, k)
+                except NotBaxter:
+                    assert not expected
+                else:
+                    assert expected and (t is None or perm_of_tree(t) == p)
+            try:
+                order = hierarchy_order(p)
+            except ValueError:
+                assert not expected
+            else:
+                assert expected and is_hrd(p, order)
+            try:
+                f = bp2fp(p)
+            except ValueError:
+                assert not expected
+            else:
+                assert expected and fp2bp(f) == p
+        assert seen[:4] == [True, False, True, True]
 
 
 class TestNoCopies:

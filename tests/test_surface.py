@@ -1,8 +1,8 @@
 """Every public function and class that ``hrd`` defines at module level, and
 every public method of those classes, is used by the library, the scripts
 or the benchmark, not only by the tests; every private module-level
-function is used by the library itself.  Code that only tests need belongs
-in ``tests/oracles.py``.
+function is used by the library itself; every module-level import is read
+in its module.  Code that only tests need belongs in ``tests/oracles.py``.
 
 The check is static and by name: a function or class counts as used where
 its name is read or looked up as an attribute outside its own definition,
@@ -71,6 +71,25 @@ def unused_private(library: dict[str, str]) -> set[str]:
     }
 
 
+def unused_imports(library: dict[str, str]) -> set[str]:
+    """``module.name`` for every name bound by a module-level import in
+    ``library``, ``TYPE_CHECKING`` blocks included and ``__future__``
+    skipped, that its module never reads."""
+    found = set()
+    for module, text in library.items():
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.If):
+                stack += node.body + node.orelse
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+                found |= {f"{module}.{name}" for name in bound - read}
+    return found
+
+
 def _sources(directory: Path) -> dict[str, str]:
     return {f"{directory.name}/{path.stem}": path.read_text() for path in sorted(directory.glob("*.py"))}
 
@@ -117,3 +136,24 @@ def test_the_check_sees_private_functions_only_tests_read():
     assert unused_private(library) == {"lib._recursive", "lib._stranded"}
     library["other"] += "_recursive()\n"
     assert unused_private(library) == {"lib._stranded"}
+
+
+def test_every_import_is_read_in_its_module():
+    assert unused_imports(_sources(LIBRARY)) == set()
+
+
+def test_the_check_sees_unused_imports():
+    library = {
+        "lib": "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import xml.dom\n"
+        "from typing import TYPE_CHECKING\n"
+        "from .perm import is_baxter as check, is_simple\n"
+        "if TYPE_CHECKING:\n"
+        "    from .floorplan import Room, Floor\n"
+        "def f(r: Room) -> None:\n"
+        "    import json\n"
+        "    return sys.argv, xml.dom.minidom, is_simple\n"
+    }
+    # a name read only inside a function still counts; an import there is not checked
+    assert unused_imports(library) == {"lib.os", "lib.check", "lib.Floor"}
