@@ -26,10 +26,11 @@ script finds one such operator per class and proves it exact:
    integer polynomials.  Together with p_r(n) != 0 for n >= n0 + 1 - r, and
    t_1..t_n0 from the convolution, it fixes every term the operator yields.
 
-The module stores each p_i by its forward differences at n = 0, which is
-what ``counting._recur`` steps, as decimal text (``module_text``).  On one
-core of a 2-vCPU VM, class 2 takes under 0.1 s, class 5 about 0.5 s, 7
-about 6 s, 8 about 25 s, 9 about two minutes and 10 about five.
+The module stores each p_i as decimal text (``module_text``) by its forward
+differences at n = 0, which ``counting._recur`` packs into one integer per
+difference order and steps.  On one core of a 2-vCPU VM, class 2 takes
+under 0.1 s, class 5 about 0.5 s, 7 about 6 s, 8 about 25 s, 9 about two
+minutes and 10 about five.
 
     python3 scripts/derive_recurrences.py                  # classes 2 5 7 8 9
     python3 scripts/derive_recurrences.py --classes 2 --out ops.py

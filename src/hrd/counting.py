@@ -39,12 +39,14 @@ skeleton series, certified exactly: for k = 2..9 (the series of k = 2..4
 coincide, and so do those of 5 and 6) a table longer than ``_CONVOLVED``
 takes t_1..t_n0 from the convolution below and each later term from the
 recurrence of order r <= 10 and degree d <= 45: r + 1 products of a count
-by a polynomial value, one exact division, and (r + 1) d additions that
-step the values from n to n + 1.  Every other table runs the convolution
-alone, which grows each power column by one incremental convolution per
-term, O(k n^2) in all.  The operators are derived and certified by
-``scripts/derive_recurrences.py``, which commits them as decimal text;
-``_operator`` decodes a class the first time a process needs it.
+by a polynomial value, one exact division, d additions of integers that
+each pack one difference order of all r + 1 polynomials, stepping every
+value from n to n + 1, and one unpack of the r + 1 values.  Every other
+table runs the convolution alone, which grows each power column by one
+incremental convolution per term, O(k n^2) in all.  The operators are
+derived and certified by ``scripts/derive_recurrences.py``, which commits
+them as decimal text; ``_operator`` decodes a class the first time a
+process needs it.
 ``tests/test_recurrences.py`` runs the certificate on every one.
 """
 
@@ -55,8 +57,9 @@ import zlib
 from collections.abc import Mapping
 from contextlib import suppress
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
-from operator import add
+from operator import mul
 from pathlib import Path
 from types import MappingProxyType
 
@@ -65,8 +68,8 @@ from . import unlimited_int_text
 # tables this short come from the convolution alone, which never loads
 # ``_recurrences`` (about 3 ms to compile) or decodes a class (0.1 ms for
 # class 5, 1.5 ms for class 9).  Up to here the convolution beats the
-# recurrence with those costs added: k = 5, n = 40 takes 1.0 ms against
-# 3.9 ms, and k = 9, n = 80 takes 7 ms against 11 ms.
+# recurrence with those costs added (fresh processes): k = 5, n = 40 takes
+# 1.0 ms against 3.5 ms, and k = 9, n = 80 takes 7 ms against 9.5 ms.
 _CONVOLVED = 80
 
 _MEMO_ENV = "HRD_MEMO_DIR"
@@ -133,20 +136,35 @@ def _recur(t: list[int], operator: tuple[tuple[int, ...], ...], n_max: int) -> N
     """Extend t to t_{n_max} by sum_i p_i(n) t_{n+i} = 0, i = 0..r, solved for
     t_{n+r}: r + 1 products of a count by a value of some p_i per term.
 
-    ``operator`` holds the forward differences of each p_i at n = 0, so
-    stepping every p_i from n to n + 1 takes deg p_i additions.  A division
-    that leaves a remainder raises ArithmeticError, so a damaged operator
-    cannot return a wrong integer.
+    ``operator`` holds the forward differences D_i of each p_i at n = 0.
+    Column j packs Delta^j p_i(n) for every i into one integer, slot i at bit
+    W*i, so d column additions step every p_i from n to n + 1.  Column 0 also
+    holds 2^(W-1) in every slot, and |p_i(n)| <= sum_j |D_i[j]| C(n_max, j)
+    leaves W a sign bit to spare, so no slot borrows from the next and one
+    ``to_bytes`` reads all r + 1 values.
+
+    A remainder raises ArithmeticError, which catches damage that breaks
+    divisibility but not damage that keeps every division exact (p_r = 1
+    returns wrong counts silently); the committed operators rest on
+    ``test_every_committed_operator_is_certified`` and
+    ``test_the_committed_module_is_what_the_script_writes``.
     """
     r = len(operator) - 1
-    tables = [list(d) for d in operator]
+    bound = max(sum(abs(c) * comb(n_max, j) for j, c in enumerate(D)) for D in operator)
+    size = (bound.bit_length() + 8) // 8  # bytes per slot
+    half = 1 << 8 * size - 1
+    columns = [sum(c << 8 * size * i for i, c in enumerate(col)) for col in zip_longest(*operator, fillvalue=0)]
+    columns[0] += sum(half << 8 * size * i for i in range(r + 1))
     for n in range(n_max - r + 1):
         if n + r >= len(t):
-            q, rem = divmod(-sum(d[0] * t[n + i] for i, d in enumerate(tables[:r])), tables[r][0])
+            raw = columns[0].to_bytes(size * (r + 1), "little")
+            *p, lead = [int.from_bytes(raw[a : a + size], "little") - half for a in range(0, size * (r + 1), size)]
+            q, rem = divmod(-sum(map(mul, p, t[n : n + r])), lead)
             if rem:
                 raise ArithmeticError(f"the committed operator leaves a remainder at t_{n + r}")
             t.append(q)
-        tables = [list(map(add, d, d[1:])) + d[-1:] for d in tables]
+        for j in range(len(columns) - 1):
+            columns[j] += columns[j + 1]
 
 
 @lru_cache(maxsize=None)

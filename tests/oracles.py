@@ -57,6 +57,10 @@ method; what each takes from the library:
   sums every composition directly; ``oracle_count`` scans S_n with
   ``hrd.perm._is_baxter_seq`` and ``hrd.gentree.hierarchy_order`` and shares
   nothing with the recurrence.
+- ``recur_by_polynomials`` steps each coefficient polynomial of a P-recursion
+  on its own list of forward differences; the production
+  ``hrd.counting._recur`` packs the same differences of every polynomial into
+  one integer per difference order.
 - ``grow_label_by_sorting`` builds and sorts every one- and two-point
   extension and tests Baxter before simple; the production
   ``hrd.perm._grow_label`` merges the extensions lazily in the same
@@ -71,6 +75,7 @@ import itertools
 import re
 from enum import Enum
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from hrd.counting import _check_order_and_size, skeleton_counts
@@ -970,6 +975,21 @@ def _order_histogram(n: int) -> tuple[tuple[int, int], ...]:
         o = hierarchy_order(Permutation(tup))
         hist[o] = hist.get(o, 0) + 1
     return tuple(sorted(hist.items()))
+
+
+def recur_by_polynomials(t: list[int], operator: tuple[tuple[int, ...], ...], n_max: int) -> None:
+    """Extend t to t_{n_max} by sum_i p_i(n) t_{n+i} = 0, as ``_recur`` does,
+    stepping each p_i from n to n + 1 by deg p_i additions of its forward
+    differences, and raising ArithmeticError on a remainder."""
+    r = len(operator) - 1
+    tables = [list(d) for d in operator]
+    for n in range(n_max - r + 1):
+        if n + r >= len(t):
+            q, rem = divmod(-sum(d[0] * t[n + i] for i, d in enumerate(tables[:r])), tables[r][0])
+            if rem:
+                raise ArithmeticError(f"the operator leaves a remainder at t_{n + r}")
+            t.append(q)
+        tables = [list(map(add, d, d[1:])) + d[-1:] for d in tables]
 
 
 def oracle_count(k: int, n: int) -> int:

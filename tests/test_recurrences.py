@@ -5,6 +5,7 @@ table, and loads only the layers its ``hrd`` command runs."""
 
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import pytest
 
 from hrd import counting
 from hrd._recurrences import OPERATORS
-from hrd.counting import _convolve, _operator, sequence, skeleton_counts
+from hrd.counting import _convolve, _operator, _recur, sequence, skeleton_counts
+
+from oracles import recur_by_polynomials
 
 ROOT = Path(__file__).parent.parent
 
@@ -58,6 +61,58 @@ def test_no_root_from():
 def test_equal_to_the_convolution_for_every_order_to_300():
     for k in range(2, 14):
         assert sequence(k, 300) == _convolve(skeleton_counts(k), 300)[1:], k
+
+
+@pytest.mark.parametrize("c", sorted(OPERATORS))
+def test_the_packed_route_equals_the_reference_stepping(c):
+    n0, diffs = _operator(c)
+    start = _convolve(skeleton_counts(c), n0)
+    for n in (n0 + 1, counting._CONVOLVED + 1, 1000, 2000):
+        expected, packed = list(start), list(start)
+        recur_by_polynomials(expected, diffs, n)
+        _recur(packed, diffs, n)
+        assert packed == expected, n
+        assert sequence(c, n) == expected[1:], n
+
+
+def _random_operator(rng, r):
+    """Differences for p_0..p_{r-1} and p_r = +-1, so every division is exact.
+
+    Either the p_i have mixed-sign differences of random lengths, or they are
+    constants of either sign whose largest, 2^(8m - 1) - 1, fills a slot of
+    m bytes up to its sign bit."""
+    lead = (rng.choice((-1, 1)),) + (0,) * rng.randint(0, 3)
+    if rng.random() < 0.3:
+        top = (1 << 8 * rng.randint(1, 4) - 1) - 1
+        return tuple((rng.choice((-top, top, rng.randint(-top, top))),) for _ in range(r)) + (lead,)
+    bits = rng.choice((3, 40, 200))
+    return tuple(tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.randint(1, 12))) for _ in range(r)) + (lead,)
+
+
+def test_the_packed_route_equals_the_reference_on_random_operators():
+    # negative slots borrow from the slot above, and values reach the width bound
+    rng = random.Random(22)
+    for _ in range(200):
+        r, n_max = rng.randint(1, 8), rng.randint(10, 200)
+        diffs = _random_operator(rng, r)
+        start = [rng.randint(-(1 << 30), 1 << 30) for _ in range(r)]
+        expected, packed = list(start), list(start)
+        recur_by_polynomials(expected, diffs, n_max)
+        _recur(packed, diffs, n_max)
+        assert packed == expected, (diffs, start, n_max)
+        assert len(packed) == n_max + 1
+
+
+def test_the_certificate_catches_damage_the_division_cannot(monkeypatch):
+    # p_r = 1 keeps every division exact, so the recurrence returns wrong
+    # counts without an error; only the certificate rejects the operator
+    n0, diffs = _operator(5)
+    damaged = diffs[:-1] + ((1,) + (0,) * (len(diffs[-1]) - 1),)
+    assert not derive.certify(5, (n0, damaged))
+    monkeypatch.setattr(counting, "_operator", lambda c: (n0, damaged) if c == 5 else None)
+    wrong = sequence(5, counting._CONVOLVED + 1)
+    assert wrong[:n0] == _convolve(skeleton_counts(5), n0)[1:]
+    assert wrong != _convolve(skeleton_counts(5), counting._CONVOLVED + 1)[1:]
 
 
 def test_the_committed_module_is_what_the_script_writes():

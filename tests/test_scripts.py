@@ -38,8 +38,9 @@ def test_script_runs(script, args):
 
 def test_derive_recurrences_reproduces_the_committed_entry(tmp_path):
     out = tmp_path / "operators.py"
-    result = _run("derive_recurrences.py", "--classes", "2", "--out", str(out))
+    # class 5 is the operator the damaged-operator tests and ``count --k 5`` rely on
+    result = _run("derive_recurrences.py", "--classes", "2", "5", "--out", str(out))
     assert result.returncode == 0, result.stderr
     namespace = {}
     exec(out.read_text(), namespace)
-    assert namespace["OPERATORS"] == {2: OPERATORS[2]}
+    assert namespace["OPERATORS"] == {2: OPERATORS[2], 5: OPERATORS[5]}
