@@ -20,11 +20,10 @@ room's top-left corner to the room, and find the sliding rooms by hopping
 from corner to corner along the deleted room's bottom or right edge; a room
 slides at most once per axis, so a whole deletion order costs O(n)
 (``_delete_top_left``).
-Insertions keep the left and top boundary rooms as two stacks, which only
-change at the corner end, and give each fresh line a coordinate counting
-down from n, since it always lies nearest the corner; one rank compression
-at the end gives the ranked floorplan, O(n log n) (``bp2fp``).  They are
-also its Baxter check: a p that is not Baxter leaves some label no slot.
+Insertions run in ``perm._insertions``, O(n), which also decides Baxter,
+so this module holds no Baxter logic: ``bp2fp`` only places the rooms, each
+fresh line at a coordinate counting down from n, and ranks them once,
+O(n log n).
 Validation is O(n) from the room areas and the parity of corner counts
 (``diagnose``).  It runs once, in the function that uses the floorplan:
 ``fp2bp`` and ``render`` check their input, and ``grow_ihrd`` through
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .perm import Permutation, _grow_label, is_simple
+from .perm import Permutation, _ascii_ints, _grow_label, _insertions, is_simple
 
 
 class Room(NamedTuple):
@@ -225,81 +224,26 @@ def fp2bp(f: MosaicFloorplan) -> Permutation:
 
 
 def bp2fp(p: Permutation) -> MosaicFloorplan:
-    """The mosaic floorplan whose label permutation is ``p``.
-
-    Rooms are inserted at the top-left corner in decreasing label order, so
-    the room inserted for label i is deleted i-th in top-left order.  Each
-    insertion is the inverse of a corner deletion: it either pushes the
-    first j left-boundary rooms right onto a fresh vertical line, or the
-    first j top-boundary rooms down onto a fresh horizontal line.  Which one
-    is forced by where label i must land in the bottom-left reading order,
-    which is p restricted to the labels inserted so far:
-
-    - Along the left boundary, top to bottom, rooms are read in decreasing
-      order of position (the bottom-left room is read first), and along the
-      top boundary, left to right, in increasing order.  So label i reads
-      in the right slot after a left push exactly when its successor in
-      that reading, the next greater element to its right in p, is on the
-      left boundary; the push then covers the left rooms down to that one.
-      Otherwise the predecessor, the previous greater element to its left,
-      is on the top boundary and a top push covers the top rooms up to it.
-      One monotone-stack pass over p gives both neighbours of every label.
-    - The left and top boundaries change only at their corner end: a push
-      covers a run of rooms nearest the corner and the new room becomes the
-      corner room of both.  Kept as two stacks, with each room's stack slot
-      recorded, the test and the push cost O(1 + rooms covered); a room is
-      covered at most once per boundary, so all insertions cost O(n).
-    - A fresh line always lies nearer the top-left corner than every
-      earlier line on its axis, so the line inserted with label i takes
-      coordinate i, counting down from n - 1, and the far boundary sits at
-      n.  Rooms only ever move their top or left edge, onto the fresh line,
-      so every coordinate is written once and rank-compressed once at the
-      end, in O(n log n).
-
-    The insertions also check that p is Baxter.  Each inverts a top-left
-    deletion and puts label i between its neighbours in the bottom-left
-    reading, so when every label finds its slot the result is a mosaic
-    floorplan whose ``fp2bp`` is p, and p is Baxter, as every ``fp2bp``
-    image is.  Any other p leaves some label no slot and raises ValueError.
-    Room ids of the result equal the top-left deletion labels.
-    """
+    """The mosaic floorplan whose label permutation is ``p``, room ids the
+    top-left deletion labels, on the insertions of ``perm._insertions``,
+    which raise ValueError unless p is Baxter.  The fresh line of label i
+    lies nearer the corner than every earlier one on its axis, so it takes
+    coordinate i, and the far sides sit at n.  A room's left (top) edge is
+    the line of the push that covered it on that boundary, or 0; of its right
+    and bottom edges, one is its own push's line and the other that of the
+    room the push ran to.  One ranking at the end: O(n log n)."""
     n = len(p)
-    after = [0] * (n + 1)  # next greater value to the right in p, 0 if none
-    before = [0] * (n + 1)  # previous greater value to the left in p, 0 if none
-    pending: list[int] = []
-    for v in p.values:
-        while pending and pending[-1] < v:
-            after[pending.pop()] = v
-        before[v] = pending[-1] if pending else 0
-        pending.append(v)
-
-    x1 = [0] * (n + 1)
-    y1 = [0] * (n + 1)
-    x2 = [0] * (n + 1)
-    y2 = [0] * (n + 1)
-    x2[n] = y2[n] = n
-    lefts, tops = [n], [n]  # boundary rooms, the corner room last
-    left_slot = [0] * (n + 1)
-    top_slot = [0] * (n + 1)
+    try:
+        x1, y1, anchor = _insertions(p.values)
+    except ValueError:
+        raise ValueError("bp2fp requires a Baxter permutation") from None
+    x2, y2 = [n] * (n + 1), [n] * (n + 1)  # room n reaches the far sides
     for label in range(n - 1, 0, -1):
-        v, u = after[label], before[label]
-        i, j = left_slot[v], top_slot[u]
-        if v and i < len(lefts) and lefts[i] == v:
-            for r in lefts[i:]:
-                x1[r] = label
-            del lefts[i:]
-            x2[label], y2[label] = label, y2[v]
-        elif u and j < len(tops) and tops[j] == u:
-            for r in tops[j:]:
-                y1[r] = label
-            del tops[j:]
-            x2[label], y2[label] = x2[u], label
+        a = anchor[label]
+        if x1[a] == label:  # a left push
+            x2[label], y2[label] = label, y2[a]
         else:
-            raise ValueError("bp2fp requires a Baxter permutation")
-        left_slot[label] = len(lefts)
-        lefts.append(label)
-        top_slot[label] = len(tops)
-        tops.append(label)
+            x2[label], y2[label] = x2[a], label
     return _ranked((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
 
 
@@ -339,24 +283,20 @@ def parse_floorplan(text: str) -> MosaicFloorplan:
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise FloorplanFormatError(1, "missing 'W H n' header")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise FloorplanFormatError(1, "header must be three integers: W H n")
-    try:
-        width, height, n = (int(tok) for tok in head)
+    try:  # a header of other than three tokens fails the unpacking
+        width, height, n = _ascii_ints(lines[0].split())
     except ValueError:
         raise FloorplanFormatError(1, "header must be three integers: W H n") from None
     rooms = []
     lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.split():
-            continue
+    for lineno, raw in enumerate(lines[1:], 2):
         toks = raw.split()
+        if not toks:
+            continue
         if len(toks) != 5:
             raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2")
         try:
-            rooms.append(Room(*(int(tok) for tok in toks)))
+            rooms.append(Room(*_ascii_ints(toks)))
         except ValueError:
             raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2") from None
     if len(rooms) != n:

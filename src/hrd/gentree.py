@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .perm import Permutation, _Frozen, _is_baxter_seq, _split, is_baxter
+from .perm import Permutation, _Frozen, _insertions, _split, is_baxter
 
 
 class NotBaxter(ValueError):
@@ -125,9 +125,9 @@ def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
     Returns None when some skeleton of the recursive canonical decomposition
     is longer than k, i.e. when p is not an order-k permutation.  The walk
     checks every skeleton for Baxter, so a tree needs no other check.  Only
-    when a skeleton longer than k stops the walk early, or k < 2, does
-    ``is_baxter(p)`` run, to raise ``NotBaxter`` (before k is checked) for a
-    p that is not Baxter.
+    when a skeleton longer than k stops the walk early, or k < 2, does the
+    O(n) ``is_baxter(p)`` run, to raise ``NotBaxter`` (before k is checked)
+    for a p that is not Baxter.
     """
     if k < 2 and is_baxter(p):  # a p that is not Baxter raises NotBaxter below
         raise ValueError("order k must be >= 2")
@@ -163,8 +163,11 @@ def _walk(p: Permutation) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int
         a, b, lo = stack.pop()
         if b - a > 1:
             skeleton, kids = _split(vals, a, b, lo)
-            if len(skeleton) > 2 and not _is_baxter_seq(skeleton):
-                raise NotBaxter("generating trees exist only for Baxter permutations")
+            if len(skeleton) > 2:
+                try:
+                    _insertions(skeleton)
+                except ValueError:
+                    raise NotBaxter("generating trees exist only for Baxter permutations") from None
             yield skeleton, kids
             stack.extend(reversed(kids))
 

@@ -6,6 +6,9 @@ Positions and values are one-indexed throughout.  A permutation of length n
 is a bijection on {1..n} kept in one-line notation, so ``41352`` sends
 position 1 to value 4.
 
+``is_baxter`` is the O(n) corner-insertion pass ``_insertions``, which
+``floorplan.bp2fp`` places its rooms on and the ``gentree`` walk runs on
+each skeleton; the census prunes with its pair test, ``_baxter_pair_ok``.
 ``is_ihrd`` tests irreducibility.  ``census_simple_baxter`` lists the
 simple Baxter permutations of one length from 2 up to ``CENSUS_CAP`` by
 one cached, pruned search, and ``_grow_label`` finds one two longer that
@@ -34,6 +37,15 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _ascii_ints(tokens: list[str]) -> list[int]:
+    """The tokens as integers, each an ASCII decimal with an optional sign;
+    ValueError for the ``1_0`` and non-ASCII digits that ``int`` also reads."""
+    joined = "".join(tokens)
+    if "_" in joined or not joined.isascii():
+        raise ValueError(f"not ASCII decimal integers: {tokens!r}")
+    return list(map(int, tokens))
 
 
 class Permutation(_Frozen):
@@ -72,12 +84,12 @@ class Permutation(_Frozen):
         tokens = text.split()
         if not tokens:
             raise ValueError("empty permutation text")
-        if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
+        if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isascii() and tokens[0].isdigit():
             if len(tokens[0]) > 9:
                 raise ValueError("compact digit form is limited to n <= 9")
             return cls(tuple(int(ch) for ch in tokens[0]))
         try:
-            values = tuple(int(tok) for tok in tokens)
+            values = tuple(_ascii_ints(tokens))
         except ValueError:
             raise ValueError(f"malformed permutation text: {text!r}") from None
         return cls(values)
@@ -127,19 +139,64 @@ def _baxter_pair_ok(vals, v: int, i: int, j: int) -> bool:
     return True
 
 
-def _is_baxter_seq(vals: tuple[int, ...]) -> bool:
-    pos = [0] * (len(vals) + 1)
-    for i, v in enumerate(vals):
-        pos[v] = i
-    for v in range(1, len(vals)):
-        if not _baxter_pair_ok(vals, v, pos[v], pos[v + 1]):
-            return False
-    return True
+def _insertions(vals: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+    """Rebuild, without coordinates, the mosaic floorplan whose label
+    permutation (``fp2bp``) is ``vals``; ValueError unless ``vals`` is Baxter.
+
+    Rooms go in at the top-left corner in decreasing label order, each
+    inverting a top-left deletion: a push moves the rooms nearest the corner
+    on the left boundary right, or on the top boundary down, onto a fresh
+    line.  The bottom-left reading, ``vals`` restricted to the labels
+    inserted so far, runs up the left boundary and on along the top one, so
+    label i takes its slot by a left push down to its successor there, the
+    next greater value to its right, when that room is on the left boundary,
+    and else by a top push up to its predecessor, the previous greater value
+    to its left, which must then be on the top boundary.  A room stays on a
+    boundary until a push covers it there, so two stacks hold the boundaries
+    and the insertions cost O(n) in all.
+
+    Every label finds its slot exactly when ``vals`` is Baxter: the result
+    is then a floorplan whose ``fp2bp`` is ``vals``, and a Baxter ``vals``
+    is the ``fp2bp`` image of a floorplan whose deletions these invert.
+
+    Per room (its label) 1..n, returns the label whose left push covered it
+    and the one whose top push did (0 if none), and the room its own push
+    ran to, which that push covered on the left exactly if it was a left push.
+    """
+    n = len(vals)
+    anchor, before = [0] * (n + 1), [0] * (n + 1)  # next greater value to the right, previous greater to the left
+    pending: list[int] = []
+    for v in vals:
+        while pending and pending[-1] < v:
+            anchor[pending.pop()] = v
+        before[v] = pending[-1] if pending else 0
+        pending.append(v)
+
+    left_by, top_by = [0] * (n + 1), [0] * (n + 1)
+    lefts, tops = [n], [n]  # the rooms on each boundary, the corner room last
+    for label in range(n - 1, 0, -1):
+        v, u = anchor[label], before[label]
+        if v and not left_by[v]:  # v is still on the left boundary: cover the rooms down to it
+            while not left_by[v]:
+                left_by[lefts.pop()] = label
+        elif u and not top_by[u]:
+            while not top_by[u]:
+                top_by[tops.pop()] = label
+            anchor[label] = u
+        else:
+            raise ValueError("not a Baxter permutation")
+        lefts.append(label)
+        tops.append(label)
+    return left_by, top_by, anchor
 
 
 def is_baxter(p: Permutation) -> bool:
-    """Baxter test: no 3142 or 2413 occurrence whose outer pair differs by 1."""
-    return _is_baxter_seq(p.values)
+    """No 3142 or 2413 whose outer pair differs by 1: ``_insertions``, O(n)."""
+    try:
+        _insertions(p.values)
+    except ValueError:
+        return False
+    return True
 
 
 def _child(vals: tuple[int, ...], start: int, stop: int, lo: int) -> Permutation:
@@ -315,6 +372,6 @@ def _grow_label(label: Permutation) -> Permutation:
     those, both lexicographically."""
     for q1 in _one_point_extensions(label.values):
         for q2 in _one_point_extensions(q1):
-            if _simple(q2) and _is_baxter_seq(q2):
+            if _simple(q2) and is_baxter(Permutation(q2)):
                 return Permutation(q2)
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")

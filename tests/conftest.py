@@ -6,7 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hrd.perm import Permutation, _is_baxter_seq
+from hrd.perm import Permutation
+
+from oracles import baxter_pair_scan
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +24,6 @@ def baxter_by_n():
         out[n] = [
             Permutation(tup)
             for tup in itertools.permutations(range(1, n + 1))
-            if _is_baxter_seq(tup)
+            if baxter_pair_scan(tup)
         ]
     return out

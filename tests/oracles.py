@@ -5,11 +5,15 @@ method; what each takes from the library:
 - ``baxter_quadruple_scan``, ``contains_pattern_bruteforce``,
   ``blocks_bruteforce``, ``inflate_bruteforce`` and ``symmetries`` work
   on the values alone and share no code with ``hrd.perm``.
+- ``baxter_pair_scan`` tests each pair of values v, v + 1 with
+  ``hrd.perm._baxter_pair_ok``, the census's pruning test; the production
+  ``is_baxter`` runs the corner insertions of ``hrd.perm._insertions``,
+  which ``bp2fp`` and the decomposition walk read too.
 - ``is_simple_by_scan`` grows every segment from every start and stops at
   the first proper block; the production ``is_simple`` reads simplicity
   off the canonical decomposition (``hrd.perm._split``).
 - ``simple_baxter_perms_by_scan`` filters the whole symmetric group with
-  ``hrd.perm._is_baxter_seq`` and ``is_simple_by_scan``; the production
+  ``baxter_pair_scan`` and ``is_simple_by_scan``; the production
   ``census_simple_baxter`` prunes prefixes instead.
 - ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
   ``_insert_top_left`` below, which rank-compresses through
@@ -37,7 +41,8 @@ method; what each takes from the library:
   from ``hrd.perm.census_simple_baxter`` and builds every tree bottom-up.
 - ``decompositions_by_copies`` walks p's recursive canonical decomposition
   by calling ``hrd.perm.decompose`` on a re-ranked copy of every part, and
-  ``tree_of_perm_by_copies`` builds the tree from it; the production walk
+  ``tree_of_perm_by_copies`` builds the tree from it, after
+  ``baxter_pair_scan`` has decided Baxter; the production walk
   splits index ranges of p with ``_split`` and copies nothing.
   ``perm_of_tree_by_inflation`` folds a tree with ``_fold``,
   inflating every label by copies of its children's permutations
@@ -45,7 +50,8 @@ method; what each takes from the library:
   top-down.
 - ``single_room``, ``validate``, ``reflect``, ``delete_corner``,
   ``insert_max``, ``leaf_count``, ``check_tree``, ``parse_tree``,
-  ``random_tree`` and ``slicing_chain`` are not references but small
+  ``random_tree``, ``slicing_chain``, ``odd_up_even_down`` and
+  ``inflate_entry`` are not references but small
   conveniences the tests use and no command needs.
   ``delete_corner`` mirrors the floorplan with ``_mirrored``, as
   ``reflect`` does, so that the corner is at the top left, and deletes
@@ -55,7 +61,7 @@ method; what each takes from the library:
 - ``count_hrd_literal`` uses no library code; ``count_hrd`` takes the s_l
   from ``hrd.counting.skeleton_counts``, as ``sequence`` does, but
   sums every composition directly; ``oracle_count`` scans S_n with
-  ``hrd.perm._is_baxter_seq`` and ``hrd.gentree.hierarchy_order`` and shares
+  ``baxter_pair_scan`` and ``hrd.gentree.hierarchy_order`` and shares
   nothing with the recurrence.
 - ``recur_by_polynomials`` steps each coefficient polynomial of a P-recursion
   on its own list of forward differences; the production
@@ -64,9 +70,9 @@ method; what each takes from the library:
 - ``grow_label_by_sorting`` builds and sorts every one- and two-point
   extension and tests Baxter before simple; the production
   ``hrd.perm._grow_label`` merges the extensions lazily in the same
-  order.  Both test with ``hrd.perm._is_baxter_seq``; the reference tests
-  simplicity with ``is_simple_by_scan``, the production route with
-  ``hrd.perm._simple``, which reads ``_split``.
+  order.  The reference tests Baxter with ``baxter_pair_scan`` and
+  simplicity with ``is_simple_by_scan``; the production route tests
+  ``hrd.perm._simple``, which reads ``_split``, and ``is_baxter``.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ from hrd.lowerbound import safe_sites
 from hrd.perm import (
     Decomposition,
     Permutation,
-    _is_baxter_seq,
+    _baxter_pair_ok,
     decompose,
     is_baxter,
     census_simple_baxter,
@@ -199,7 +205,7 @@ def grow_label_by_sorting(label: Permutation) -> Permutation:
     """
     for q1 in sorted(one_point_extensions_by_set(label.values)):
         for q2 in sorted(one_point_extensions_by_set(q1)):
-            if _is_baxter_seq(q2) and is_simple_by_scan(q2):
+            if baxter_pair_scan(q2) and is_simple_by_scan(q2):
                 return Permutation(q2)
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
 
@@ -303,6 +309,19 @@ def random_tree(rng, n: int, labels: Iterable[Permutation]) -> GenTree:
     return parts[0]
 
 
+def odd_up_even_down(n: int) -> tuple[int, ...]:
+    """1 3 5 ... n-1 n n-2 ... 4 2 for even n: Baxter, and the slowest
+    input for ``baxter_pair_scan``, quadratic in n."""
+    return tuple(range(1, n, 2)) + (n,) + tuple(range(n - 2, 0, -2))
+
+
+def inflate_entry(vals: tuple[int, ...], i: int, pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """``vals`` with its i-th entry inflated by ``pattern``."""
+    v, m = vals[i], len(pattern)
+    up = [x + m - 1 if x > v else x for x in vals]
+    return tuple(up[:i] + [v - 1 + x for x in pattern] + up[i + 1 :])
+
+
 def slicing_chain(depth: int, bottom: Permutation) -> GenTree:
     """``depth`` nested cuts alternating 21 and 12 from the top, each with a
     leaf first and the rest of the chain second, ending in a node labeled
@@ -361,7 +380,7 @@ def decompositions_by_copies(p: Permutation) -> Iterator[Decomposition]:
 
 def tree_of_perm_by_copies(p: Permutation, k: int) -> GenTree | None:
     """Reference ``tree_of_perm`` over ``decompositions_by_copies``."""
-    if not is_baxter(p):
+    if not baxter_pair_scan(p.values):
         raise NotBaxter("generating trees exist only for Baxter permutations")
     if k < 2:
         raise ValueError("order k must be >= 2")
@@ -393,6 +412,16 @@ def baxter_quadruple_scan(values) -> bool:
     return True
 
 
+def baxter_pair_scan(values) -> bool:
+    """Baxter test by value pairs: for each v, ``hrd.perm._baxter_pair_ok``
+    scans the entries between v and v + 1 for a forbidden 3142 or 2413 with
+    that outer pair.  Quadratic in the worst case."""
+    pos = [0] * (len(values) + 1)
+    for i, v in enumerate(values):
+        pos[v] = i
+    return all(_baxter_pair_ok(values, v, pos[v], pos[v + 1]) for v in range(1, len(values)))
+
+
 def simple_baxter_perms_by_scan(length: int) -> tuple[Permutation, ...]:
     """All simple Baxter permutations of a given length, lexicographically.
 
@@ -402,7 +431,7 @@ def simple_baxter_perms_by_scan(length: int) -> tuple[Permutation, ...]:
         raise ValueError("length must be >= 1")
     out = []
     for tup in itertools.permutations(range(1, length + 1)):
-        if _is_baxter_seq(tup) and is_simple_by_scan(tup):
+        if baxter_pair_scan(tup) and is_simple_by_scan(tup):
             out.append(Permutation(tup))
     return tuple(out)
 
@@ -970,7 +999,7 @@ def _order_histogram(n: int) -> tuple[tuple[int, int], ...]:
     """(hierarchy order, count) pairs over all Baxter permutations of S_n."""
     hist: dict[int, int] = {}
     for tup in itertools.permutations(range(1, n + 1)):
-        if not _is_baxter_seq(tup):
+        if not baxter_pair_scan(tup):
             continue
         o = hierarchy_order(Permutation(tup))
         hist[o] = hist.get(o, 0) + 1

@@ -13,7 +13,6 @@ import pytest
 
 from hrd.perm import (
     Permutation,
-    _is_baxter_seq,
     census_simple_baxter,
     decompose,
     is_baxter,
@@ -27,6 +26,7 @@ from hrd.lowerbound import insertion_family
 
 from oracles import (
     _compositions,
+    baxter_pair_scan,
     blocks_bruteforce,
     count_hrd,
     count_hrd_literal,
@@ -77,7 +77,7 @@ def test_criterion_02_order5_recurrence_fidelity(literal_values):
             assert literal_values[n - 1] == count_hrd(5, n) == counts[n - 1]
         for n in range(1, 9):
             assert literal_values[n - 1] == oracle_count(5, n)
-        baxter5 = sum(1 for t in itertools.permutations(range(1, 6)) if _is_baxter_seq(t))
+        baxter5 = sum(1 for t in itertools.permutations(range(1, 6)) if baxter_pair_scan(t))
         assert literal_values[4] == 92 == baxter5
 
 

@@ -13,7 +13,7 @@ from hrd.perm import Permutation, census_simple_baxter, is_ihrd
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
 from hrd.gentree import perm_of_tree
 
-from oracles import parse_tree
+from oracles import inflate_entry, odd_up_even_down, parse_tree
 
 
 def invoke(capsys, *argv):
@@ -55,6 +55,25 @@ class TestCheck:
     def test_malformed_perm_is_a_parse_error(self, capsys):
         code, _, err = invoke(capsys, "check", "baxter", "1 2 2")
         assert code == 2 and "error" in err
+        # int() alone would read 1_0 as 10 and accept the permutation
+        assert invoke(capsys, "check", "baxter", "2 1_0 3 4 5 6 7 8 9 1") == (
+            2,
+            "",
+            "error: malformed permutation text: '2 1_0 3 4 5 6 7 8 9 1'\n",
+        )
+
+    def test_baxter_worst_case_from_file(self, capsys, tmp_path):
+        # the slowest input for a scan over value pairs: quadratic there,
+        # linear for the corner insertions that is_baxter runs
+        n = 20_000
+        chain = odd_up_even_down(n)
+        bad = inflate_entry(chain, n // 3, (2, 4, 1, 3))
+        path = tmp_path / "chain.txt"
+        start = time.perf_counter()
+        for vals, expected in ((chain, (0, "true\n", "")), (bad, (1, "false\n", ""))):
+            path.write_text(" ".join(map(str, vals)))
+            assert invoke(capsys, "check", "baxter", "--file", str(path)) == expected
+        assert time.perf_counter() - start < 3.0
 
     def test_perm_from_file(self, capsys, tmp_path):
         path = tmp_path / "p.txt"
@@ -231,6 +250,15 @@ class TestFloorplanCommands:
         top, middle, bottom = out.splitlines()
         assert middle.startswith("|" + rid) and middle.endswith("|")
         assert top == bottom == "+" + "-" * (len(middle) - 2) + "+"
+
+    def test_room_line_takes_ascii_integers_only(self, capsys, tmp_path):
+        path = tmp_path / "underscore.fp"
+        path.write_text("10 1 1\n1 0 0 1_0 1\n")
+        assert invoke(capsys, "fp2bp", str(path)) == (
+            2,
+            "",
+            "error: line 2: room line must be five integers: id x1 y1 x2 y2\n",
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "fp2bp", "/nonexistent/file.fp")

@@ -20,6 +20,7 @@ from hrd.floorplan import (
 )
 from oracles import (
     Corner,
+    baxter_pair_scan,
     blocks_bruteforce,
     bp2fp_by_reinsertion,
     canonical,
@@ -192,8 +193,8 @@ class TestBp2fp:
 
     def test_insertions_reject_exactly_the_non_baxter_permutations(self):
         """The insertions are bp2fp's only Baxter check: a label without a
-        slot raises, for every permutation of length <= 8 that is not Baxter
-        and for no other."""
+        slot raises, for every permutation of length <= 8 that the pair scan
+        finds not Baxter and for no other."""
         rejected = 0
         for n in range(1, 9):
             for vals in itertools.permutations(range(1, n + 1)):
@@ -201,10 +202,10 @@ class TestBp2fp:
                 try:
                     bp2fp(p)
                 except ValueError as e:
-                    assert str(e) == "bp2fp requires a Baxter permutation" and not is_baxter(p), p
+                    assert str(e) == "bp2fp requires a Baxter permutation" and not baxter_pair_scan(vals), p
                     rejected += 1
                 else:
-                    assert is_baxter(p), p
+                    assert baxter_pair_scan(vals), p
         # 46233 permutations of length <= 8, 13373 of them Baxter
         assert rejected == 46233 - 13373
 
@@ -218,7 +219,7 @@ class TestBp2fp:
     @settings(max_examples=250, deadline=None)
     def test_roundtrip_random_baxter(self, vals):
         p = Permutation(tuple(vals))
-        assume(is_baxter(p))
+        assume(baxter_pair_scan(p.values))
         f = bp2fp(p)
         assert validate(f)
         assert fp2bp(f) == p
@@ -462,6 +463,11 @@ class TestTextFormat:
         with pytest.raises(FloorplanFormatError) as err:
             parse_floorplan("1 1 1\n1 0 0 1\n")
         assert err.value.lineno == 2
+        # only ASCII decimals with an optional sign: int() alone reads 1_0 as 10
+        with pytest.raises(FloorplanFormatError, match="room line must be five integers") as err:
+            parse_floorplan("10 1 1\n1 0 0 1_0 1\n")
+        assert err.value.lineno == 2
+        assert parse_floorplan("1 1 1\n-1 +0 0 1 1\n").rooms == (Room(-1, 0, 0, 1, 1),)
 
     def test_invalid_mosaic_rejected(self):
         # the parser reads the text; the geometry is checked where it is used

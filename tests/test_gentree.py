@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hrd.perm
-from hrd.perm import Permutation, _is_baxter_seq, census_simple_baxter, is_baxter, is_ihrd
+from hrd.perm import Permutation, census_simple_baxter, is_ihrd
 from hrd.floorplan import bp2fp, fp2bp
 from hrd.gentree import (
     Leaf,
@@ -20,11 +20,14 @@ from hrd.gentree import (
 )
 
 from oracles import (
+    baxter_pair_scan,
     check_tree,
     enumerate_trees,
     floorplan_of_tree,
     format_tree_by_fold,
+    inflate_entry,
     leaf_count,
+    odd_up_even_down,
     parse_tree,
     perm_of_tree_by_inflation,
     random_tree,
@@ -189,7 +192,7 @@ class TestWalkMatchesCopies:
         for n in range(1, 8):
             for vals in itertools.permutations(range(1, n + 1)):
                 p = Permutation(vals)
-                if _is_baxter_seq(vals):
+                if baxter_pair_scan(vals):
                     _agrees_with_copies(p, range(2, 10))
                     continue
                 with pytest.raises(NotBaxter):
@@ -217,19 +220,6 @@ class TestWalkMatchesCopies:
         assert tree_of_perm(p, 7) == t
 
 
-def _odd_up_even_down(n: int) -> tuple[int, ...]:
-    """1 3 5 ... n-1 n n-2 ... 4 2 for even n: Baxter, and the slowest
-    input for ``is_baxter``."""
-    return tuple(range(1, n, 2)) + (n,) + tuple(range(n - 2, 0, -2))
-
-
-def _inflate_entry(vals: tuple[int, ...], i: int, pattern: tuple[int, ...]) -> tuple[int, ...]:
-    """``vals`` with its i-th entry inflated by ``pattern``."""
-    v, m = vals[i], len(pattern)
-    up = [x + m - 1 if x > v else x for x in vals]
-    return tuple(up[:i] + [v - 1 + x for x in pattern] + up[i + 1 :])
-
-
 def _swapped(vals: tuple[int, ...], j: int) -> tuple[int, ...]:
     return vals[:j] + (vals[j + 1], vals[j]) + vals[j + 2 :]
 
@@ -237,13 +227,14 @@ def _swapped(vals: tuple[int, ...], j: int) -> tuple[int, ...]:
 class TestOneReadDecidesBaxter:
     """Nothing but the walk decides Baxter for ``tree_of_perm``, ``is_hrd``
     and ``hierarchy_order``, and nothing but the insertions for ``bp2fp``:
-    each must agree with ``is_baxter``."""
+    each must agree with ``baxter_pair_scan``, which shares no code with
+    the insertions that ``is_baxter``, ``bp2fp`` and the walk all run."""
 
     def test_every_permutation_of_length_8(self):
         baxter = 0
         for vals in itertools.permutations(range(1, 9)):
             p = Permutation(vals)
-            expected = _is_baxter_seq(vals)
+            expected = baxter_pair_scan(vals)
             baxter += expected
             assert is_hrd(p, 8) == expected, p
             try:
@@ -262,14 +253,14 @@ class TestOneReadDecidesBaxter:
         rng = random.Random(seed)
         labels = census_simple_baxter(2) + census_simple_baxter(5) + census_simple_baxter(7)[:4]
         tree = perm_of_tree(random_tree(rng, rng.randrange(500, 3001), labels)).values
-        bad = _inflate_entry(tree, rng.randrange(len(tree)), rng.choice([(2, 4, 1, 3), (3, 1, 4, 2)]))
+        bad = inflate_entry(tree, rng.randrange(len(tree)), rng.choice([(2, 4, 1, 3), (3, 1, 4, 2)]))
         n = 2 * rng.randrange(250, 751)
-        chain = _odd_up_even_down(n)
+        chain = odd_up_even_down(n)
         inputs = [tree, bad, chain, _swapped(chain, n // 2 - 1), _swapped(chain, rng.randrange(n - 1))]
         seen = []
         for vals in inputs:
             p = Permutation(vals)
-            expected = is_baxter(p)
+            expected = baxter_pair_scan(vals)
             seen.append(expected)
             assert is_hrd(p, len(p)) == expected
             for k in (2, len(p)):

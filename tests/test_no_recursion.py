@@ -78,6 +78,53 @@ def test_gentree_walks_ranges_not_copies():
     assert not names & {"decompose", "inflate"}
 
 
+def next_greater_stacks(module: str) -> set[str]:
+    """The functions of ``hrd.<module>`` that run a monotone stack: a while
+    loop that compares the top of a list and pops it."""
+    found = set()
+    for fn in ast.walk(ast.parse((LIBRARY / f"{module}.py").read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.While):
+                continue
+            tops = {
+                sub.value.id
+                for sub in ast.walk(loop.test)
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name)
+                and isinstance(sub.slice, ast.UnaryOp)
+                and isinstance(sub.slice.op, ast.USub)
+                and getattr(sub.slice.operand, "value", None) == 1
+            }
+            if any(
+                isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute)
+                and c.func.attr == "pop"
+                and isinstance(c.func.value, ast.Name)
+                and c.func.value.id in tops
+                for stmt in loop.body
+                for c in ast.walk(stmt)
+            ):
+                found.add(f"{module}.{fn.name}")
+    return found
+
+
+def test_perm_alone_decides_baxter():
+    # is_baxter, bp2fp's insertions, the walk's skeleton check and label
+    # growth all read perm._insertions; the census keeps its pair test
+    assert "_insertions" in sibling_names("floorplan") & sibling_names("gentree")
+    modules = [path.stem for path in sorted(LIBRARY.glob("*.py"))]
+    defined = {
+        node.name
+        for module in modules
+        for node in ast.walk(ast.parse((LIBRARY / f"{module}.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert "_is_baxter_seq" not in defined
+    assert set().union(*map(next_greater_stacks, modules)) == {"perm._insertions"}
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses imports inspect, ast and dis: about 13 ms of every start-up
     found = set()

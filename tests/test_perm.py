@@ -13,6 +13,7 @@ from hrd.perm import (
 )
 
 from oracles import (
+    baxter_pair_scan,
     baxter_quadruple_scan,
     blocks_bruteforce,
     inflate,
@@ -46,6 +47,10 @@ class TestPermutationType:
         for text in ["", "4 1 x", "0 1", "1 2 2"]:
             with pytest.raises(ValueError):
                 P(text)
+        # only ASCII decimals: int() alone reads 1_0 as 10 and Arabic-Indic digits
+        for text in ["2 1_0 3 4 5 6 7 8 9 1", "\u0662 \u0661", "\u0662\u0661"]:
+            with pytest.raises(ValueError, match="malformed permutation text"):
+                P(text)
 
     def test_compact_form_limited_to_nine(self):
         with pytest.raises(ValueError):
@@ -65,7 +70,15 @@ class TestIsBaxter:
     def test_agrees_with_quadruple_scan_exhaustively(self):
         for n in range(1, 8):
             for tup in itertools.permutations(range(1, n + 1)):
-                assert is_baxter(Permutation(tup)) == baxter_quadruple_scan(tup), tup
+                assert is_baxter(Permutation(tup)) == baxter_quadruple_scan(tup) == baxter_pair_scan(tup), tup
+
+    def test_agrees_with_pair_scan_on_every_permutation_of_length_8(self):
+        baxter = 0
+        for tup in itertools.permutations(range(1, 9)):
+            expected = baxter_pair_scan(tup)
+            assert is_baxter(Permutation(tup)) == expected, tup
+            baxter += expected
+        assert baxter == 10754
 
     def test_closed_under_symmetries(self, baxter_by_n):
         for n in range(1, 8):
