@@ -7,7 +7,9 @@ families behind the 3**(n-k) lower bound.
 
 Importing the package loads none of its layers (``perm``, ``floorplan``,
 ``gentree``, ``counting``, ``lowerbound``); each ``hrd`` command imports
-the ones it runs.
+the ones it runs.  Integers read from text, in permutations, floorplan
+files and the command's integer options, are ASCII decimals
+(``_ascii_ints``).
 """
 
 import sys
@@ -19,6 +21,15 @@ __version__ = "0.1.0"
 
 class CapExceeded(RuntimeError):
     """A request whose cost exceeds a configured cap (the CLI exits 3)."""
+
+
+def _ascii_ints(tokens: list[str]) -> list[int]:
+    """The tokens as integers, each an ASCII decimal with an optional sign;
+    ValueError for the ``1_0`` and non-ASCII digits that ``int`` also reads."""
+    joined = "".join(tokens)
+    if "_" in joined or not joined.isascii():
+        raise ValueError(f"not ASCII decimal integers: {tokens!r}")
+    return list(map(int, tokens))
 
 
 @contextmanager

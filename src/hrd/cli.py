@@ -3,7 +3,8 @@
 Exit codes: 0 success (or predicate true), 1 predicate false, 2 parse or
 validation error, 3 infeasible argument (a ``census`` longer than 11, or a
 ``lowerbound`` family of more than 3^10 traces).  Integers are printed and
-read whatever their length (see ``hrd.unlimited_int_text``).
+read whatever their length (see ``hrd.unlimited_int_text``); integer
+options, like the permutation and floorplan texts, take ASCII decimals only.
 
 Each command imports only the layers it runs, so ``check baxter`` loads
 ``perm`` alone and ``count`` loads ``counting`` alone: start-up, not the
@@ -17,11 +18,20 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import CapExceeded, unlimited_int_text
+from . import CapExceeded, _ascii_ints, unlimited_int_text
 
 if TYPE_CHECKING:
     from .floorplan import MosaicFloorplan
     from .perm import Permutation
+
+
+def _int_option(text: str) -> int:
+    """The value of an integer option: one ASCII decimal with an optional
+    sign, as in the text formats, so ``1_0`` and non-ASCII digits exit 2."""
+    return _ascii_ints([text])[0]
+
+
+_int_option.__name__ = "int"  # argparse names the type in its error message
 
 
 def _perm_from_args(args: argparse.Namespace) -> Permutation:
@@ -172,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="evaluate a predicate; exit 0 iff true")
     sp.add_argument("kind", choices=["baxter", "simple", "ihrd", "hrd"])
     add_perm_arg(sp)
-    sp.add_argument("--k", type=int, help="order (required for hrd)")
+    sp.add_argument("--k", type=_int_option, help="order (required for hrd)")
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("decompose", help="canonical substitution decomposition")
@@ -181,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tree", help="print the skewed generating tree of order k")
     add_perm_arg(sp)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_int_option, required=True)
     sp.set_defaults(func=_cmd_tree)
 
     sp = sub.add_parser("fp2bp", help="label permutation of a floorplan file")
@@ -197,26 +207,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_render)
 
     sp = sub.add_parser("count", help="number of order-k dissections with n rooms")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--k", type=_int_option, required=True)
+    sp.add_argument("--n", type=_int_option, required=True)
     sp.add_argument("--no-memo", action="store_true", help="do not read or write the persistent table")
     sp.set_defaults(func=_cmd_count)
 
     sp = sub.add_parser("sequence", help="counts for n = 1..max")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--max", type=int, required=True)
+    sp.add_argument("--k", type=_int_option, required=True)
+    sp.add_argument("--max", type=_int_option, required=True)
     sp.add_argument("--csv", action="store_true", help="emit 'n,count' rows")
     sp.add_argument("--no-memo", action="store_true")
     sp.set_defaults(func=_cmd_sequence)
 
     sp = sub.add_parser("census", help="simple Baxter permutations of one length")
-    sp.add_argument("--len", type=int, required=True)
+    sp.add_argument("--len", type=_int_option, required=True)
     sp.add_argument("--list", action="store_true", help="also print the permutations")
     sp.set_defaults(func=_cmd_census)
 
     sp = sub.add_parser("lowerbound", help="insertion family report for a seed")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--k", type=_int_option, required=True)
+    sp.add_argument("--n", type=_int_option, required=True)
     sp.add_argument("--seed", help="irreducible seed (default: 12, 41352 or 24853617, grown to length k)")
     sp.set_defaults(func=_cmd_lowerbound)
 

@@ -3,10 +3,11 @@ interior junctions are all T-shaped.
 
 The origin sits at the top-left corner and y grows downward.  A room is
 the tuple (id, x1, y1, x2, y2).  Only the wall topology of a floorplan
-matters: corner deletions run on the coordinates they are given, and
-``bp2fp`` and ``render`` rank the coordinates to the distinct wall
-positions (``_ranked``).  Two floorplans have the same wall topology
-exactly when their deletion-order label permutations (``fp2bp``) agree.
+matters: corner deletions run on the coordinates they are given,
+``bp2fp`` places its rooms on ranked lines, and ``render`` ranks the
+coordinates to the distinct wall positions (``_ranked``).  Two floorplans
+have the same wall topology exactly when their deletion-order label
+permutations (``fp2bp``) agree.
 
 Corner deletion slides one edge of the corner room until it hits the
 bounding rectangle, dragging the attached T-junctions along.  Labeling rooms
@@ -19,11 +20,13 @@ Both directions are near-linear.  Deletions run on an index from each
 room's top-left corner to the room, and find the sliding rooms by hopping
 from corner to corner along the deleted room's bottom or right edge; a room
 slides at most once per axis, so a whole deletion order costs O(n)
-(``_delete_top_left``).
+(``_delete_top_left``).  ``fp2bp`` runs the top-left order alone: each
+deletion's direction and last sliding room place its label in the
+bottom-left reading, which a linked list rebuilds in O(n).
 Insertions run in ``perm._insertions``, O(n), which also decides Baxter,
-so this module holds no Baxter logic: ``bp2fp`` only places the rooms, each
-fresh line at a coordinate counting down from n, and ranks them once,
-O(n log n).
+so this module holds no Baxter logic: ``bp2fp`` only places the rooms, its
+lines ranked directly by a prefix count over the labels, and sorts them
+once into (y1, x1) order.
 Validation is O(n) from the room areas and the parity of corner counts
 (``diagnose``).  It runs once, in the function that uses the floorplan:
 ``fp2bp`` and ``render`` check their input, and ``grow_ihrd`` through
@@ -36,7 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple
 
-from .perm import Permutation, _ascii_ints, _grow_label, _insertions, is_simple
+from . import _ascii_ints
+from .perm import Permutation, _grow_label, _insertions, is_simple
 
 
 class Room(NamedTuple):
@@ -138,9 +142,10 @@ def _corner_index(rooms: Iterable[tuple]) -> dict[tuple[int, int], tuple[int, in
     return {(x1, y1): (x2, y2, rid) for rid, x1, y1, x2, y2 in rooms}
 
 
-def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int, height: int) -> int:
+def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int, height: int) -> tuple[int, bool, int]:
     """Delete the top-left room of a valid floorplan held as a corner index
-    (see ``_corner_index``), in place; return the deleted room's id.
+    (see ``_corner_index``), in place; return the deleted room's id, whether
+    the deletion was vertical, and the id of the last room that slid.
 
     Works on the coordinates it is given and never changes the bounding
     rectangle.  At the deleted room b's bottom-right corner exactly one of
@@ -148,7 +153,8 @@ def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int
     downward, b's bottom edge slides up and the rooms underneath grow to the
     top boundary; otherwise b's right edge slides left and the rooms to its
     right grow to the left boundary.  Only the top-left corners of rooms
-    change, and only for the rooms that slide.
+    change, and only for the rooms that slide; the last of them ends at b's
+    bottom-right corner.
 
     The sliding rooms are found by hopping from corner to corner along b's
     bottom edge (from (0, b.y2)) or right edge (from (b.x2, 0)).  The two
@@ -190,61 +196,86 @@ def _delete_top_left(at: dict[tuple[int, int], tuple[int, int, int]], width: int
             room = at.pop((x2, y))
             at[0, y] = room
             y = room[1]
-    return rid
-
-
-def _top_left_order(width: int, height: int, rooms: Iterable[tuple]) -> list[int]:
-    """Room ids of a valid floorplan in top-left deletion order; O(n)."""
-    at = _corner_index(rooms)
-    order = [_delete_top_left(at, width, height) for _ in range(len(at) - 1)]
-    order.append(at[0, 0][2])
-    return order
-
-
-def _deletion_labels(g: MosaicFloorplan) -> dict[int, int]:
-    """room id -> top-left deletion label (1..n) of a valid floorplan."""
-    order = _top_left_order(g.width, g.height, g.rooms)
-    return {rid: label for label, rid in enumerate(order, 1)}
+    return rid, vertical, room[2]
 
 
 def fp2bp(f: MosaicFloorplan) -> Permutation:
     """Label rooms in top-left deletion order, then read the labels in
-    bottom-left deletion order, which is the top-left deletion order of the
-    vertical mirror.  The result is a Baxter permutation.
+    bottom-left deletion order.  The result is a Baxter permutation.
 
-    Both deletion orders run on the corner index of the input's own
-    coordinates (``_delete_top_left``), O(n) dictionary operations each, and
-    the mirror and the validation (``diagnose``) run on them too.
+    One top-left deletion order runs on the corner index of the input's own
+    coordinates (``_delete_top_left``), O(n) dictionary operations in all,
+    after the validation (``diagnose``).  The reading is rebuilt from it
+    without a second deletion order: restricted to labels >= i, label i
+    sits right after the label of the last room its deletion slid when the
+    deletion was vertical, and right before it otherwise.  This inverts
+    ``perm._insertions``, where a top push runs to the previous greater
+    value and a left push to the next greater value; inserting labels
+    n-1, ..., 1 into a linked list costs O(n).
     """
     _require_valid(f)
-    labels = _deletion_labels(f)
-    h = f.height
-    mirror = ((rid, x1, h - y2, x2, h - y1) for rid, x1, y1, x2, y2 in f.rooms)
-    return Permutation(tuple(labels[rid] for rid in _top_left_order(f.width, f.height, mirror)))
+    at = _corner_index(f.rooms)
+    n = len(at)
+    labels = {}
+    vertical, last = [False] * n, [None] * n
+    for i in range(1, n):
+        rid, vertical[i], last[i] = _delete_top_left(at, f.width, f.height)
+        labels[rid] = i
+    labels[at[0, 0][2]] = n
+    # the reading as a linked list of labels between the ends 0 and n + 1
+    after, before = [0] * (n + 2), [0] * (n + 2)
+    after[0], after[n], before[n + 1] = n, n + 1, n
+    for i in range(n - 1, 0, -1):
+        a = labels[last[i]]
+        if not vertical[i]:
+            a = before[a]
+        b = after[a]
+        after[a], before[i], after[i], before[b] = i, a, b, i
+    reading = []
+    i = after[0]
+    while i <= n:
+        reading.append(i)
+        i = after[i]
+    return Permutation(tuple(reading))
 
 
 def bp2fp(p: Permutation) -> MosaicFloorplan:
     """The mosaic floorplan whose label permutation is ``p``, room ids the
     top-left deletion labels, on the insertions of ``perm._insertions``,
     which raise ValueError unless p is Baxter.  The fresh line of label i
-    lies nearer the corner than every earlier one on its axis, so it takes
-    coordinate i, and the far sides sit at n.  A room's left (top) edge is
-    the line of the push that covered it on that boundary, or 0; of its right
-    and bottom edges, one is its own push's line and the other that of the
-    room the push ran to.  One ranking at the end: O(n log n)."""
+    lies nearer the corner than every earlier one on its axis, so the
+    x-lines run from 0 through the lines of the left pushes, by increasing
+    label, to the right side, and a prefix count over the labels ranks
+    them; the y-lines likewise with the top pushes.  A room's left (top)
+    edge is the line of the push that covered it on that boundary, or 0;
+    of its right and bottom edges, one is its own push's line and the other
+    that of the room the push ran to.  O(n) up to one sort of the rooms
+    into (y1, x1) order."""
     n = len(p)
     try:
-        x1, y1, anchor = _insertions(p.values)
+        left_by, top_by, anchor = _insertions(p.values)
     except ValueError:
         raise ValueError("bp2fp requires a Baxter permutation") from None
-    x2, y2 = [n] * (n + 1), [n] * (n + 1)  # room n reaches the far sides
+    xr, yr = [0] * (n + 1), [0] * (n + 1)  # rank of each label's line; label 0 is the line 0
+    width = height = 0
+    for label in range(1, n):
+        if left_by[anchor[label]] == label:  # a left push
+            width += 1
+            xr[label] = width
+        else:
+            height += 1
+            yr[label] = height
+    width += 1
+    height += 1
+    x2, y2 = [width] * (n + 1), [height] * (n + 1)  # room n reaches the far sides
     for label in range(n - 1, 0, -1):
         a = anchor[label]
-        if x1[a] == label:  # a left push
-            x2[label], y2[label] = label, y2[a]
+        if left_by[a] == label:
+            x2[label], y2[label] = xr[label], y2[a]
         else:
-            x2[label], y2[label] = x2[a], label
-    return _ranked((r, x1[r], y1[r], x2[r], y2[r]) for r in range(1, n + 1))
+            x2[label], y2[label] = x2[a], yr[label]
+    rooms = sorted((yr[top_by[r]], xr[left_by[r]], r, x2[r], y2[r]) for r in range(1, n + 1))
+    return MosaicFloorplan(width, height, tuple(Room(r, x, y, xx, yy) for y, x, r, xx, yy in rooms))
 
 
 def grow_ihrd(f: MosaicFloorplan) -> MosaicFloorplan:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from . import CapExceeded
+from . import CapExceeded, _ascii_ints
 
 # longest census: listing length 11 takes about 5 s, length 12 about 30 s
 CENSUS_CAP = 11
@@ -37,15 +37,6 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _ascii_ints(tokens: list[str]) -> list[int]:
-    """The tokens as integers, each an ASCII decimal with an optional sign;
-    ValueError for the ``1_0`` and non-ASCII digits that ``int`` also reads."""
-    joined = "".join(tokens)
-    if "_" in joined or not joined.isascii():
-        raise ValueError(f"not ASCII decimal integers: {tokens!r}")
-    return list(map(int, tokens))
 
 
 class Permutation(_Frozen):

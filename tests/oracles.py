@@ -21,6 +21,12 @@ method; what each takes from the library:
   two boundary stacks instead.
 - ``delete_top_left_by_scan``, ``deletion_labels_by_scan`` and
   ``fp2bp_by_scan`` scan every room per deletion and use no library code.
+- ``fp2bp_by_two_orders`` runs two whole deletion orders with the
+  production ``_delete_top_left``, one per corner index: ``_top_left_order``
+  on the floorplan gives the labels (``_deletion_labels``), and on its
+  vertical mirror the bottom-left reading.  The production ``fp2bp`` runs
+  the top-left order alone and rebuilds the reading from each deletion's
+  direction and last sliding room.
 - ``canonical`` rank-compresses any floorplan, valid or not, keeping the
   box, and ``_grid`` fills its cell grid; the library has neither.
   ``diagnose_by_grid`` checks that grid for overlaps, gaps and '+'
@@ -29,8 +35,8 @@ method; what each takes from the library:
   the grid, where the production ``render`` draws each room's outline.
 - ``seg_room_relations`` and ``enveloping_rectangles`` validate with
   ``hrd.floorplan._require_valid``, scan the cell grid of ``canonical`` and
-  ``_grid``, and name rooms by ``_deletion_labels``, the labels ``fp2bp``
-  assigns.
+  ``_grid``, and name rooms by ``_deletion_labels`` above, the labels
+  ``fp2bp`` assigns.
 - ``_fold`` is a post-order fold over ``hrd.gentree._nodes`` in reverse.
   ``format_tree_by_fold`` builds the text of every node from its
   children's texts; the production ``format_tree`` writes it in one
@@ -90,7 +96,6 @@ from hrd.floorplan import (
     Room,
     _corner_index,
     _delete_top_left,
-    _deletion_labels,
     _ranked,
     _require_valid,
     bp2fp,
@@ -623,6 +628,32 @@ def fp2bp_by_scan(f):
     )
     reading = deletion_labels_by_scan(mirror)
     return tuple(labels[rid] for rid in sorted(labels, key=reading.__getitem__))
+
+
+def _top_left_order(width: int, height: int, rooms: Iterable[tuple]) -> list[int]:
+    """Room ids of a valid floorplan in top-left deletion order, by the
+    production ``_delete_top_left`` on a corner index; O(n)."""
+    at = _corner_index(rooms)
+    order = [_delete_top_left(at, width, height)[0] for _ in range(len(at) - 1)]
+    order.append(at[0, 0][2])
+    return order
+
+
+def _deletion_labels(g: MosaicFloorplan) -> dict[int, int]:
+    """room id -> top-left deletion label (1..n) of a valid floorplan."""
+    order = _top_left_order(g.width, g.height, g.rooms)
+    return {rid: label for label, rid in enumerate(order, 1)}
+
+
+def fp2bp_by_two_orders(f: MosaicFloorplan) -> Permutation:
+    """Reference ``fp2bp``: the top-left deletion labels read in the
+    top-left deletion order of the vertical mirror, two whole deletion
+    orders on two corner indexes."""
+    _require_valid(f)
+    labels = _deletion_labels(f)
+    h = f.height
+    mirror = ((rid, x1, h - y2, x2, h - y1) for rid, x1, y1, x2, y2 in f.rooms)
+    return Permutation(tuple(labels[rid] for rid in _top_left_order(f.width, f.height, mirror)))
 
 
 def diagnose_by_grid(f: MosaicFloorplan) -> list[str]:

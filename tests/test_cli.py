@@ -434,3 +434,23 @@ def test_readme_examples_use_documented_options(capsys):
 
 def test_usage_error_exits_two(capsys):
     assert run(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--k", "5", "--n", "{}"),
+        ("sequence", "--k", "5", "--max", "{}"),
+        ("census", "--len", "{}"),
+        ("check", "hrd", "--k", "{}", "41352"),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("number", ["1_0", "١٠"], ids=["underscore", "arabic-indic"])
+def test_integer_options_take_ascii_decimals_only(capsys, argv, number):
+    """The integer options read what the text formats read: ``int`` would
+    take ``1_0`` and Arabic-Indic ten, which the option rejects as a usage
+    error, before any command runs."""
+    code, out, err = invoke(capsys, *(tok.format(number) for tok in argv))
+    assert (code, out) == (2, "")
+    assert f"invalid int value: {number!r}" in err

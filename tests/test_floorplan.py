@@ -6,6 +6,7 @@ from time import perf_counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hrd.floorplan
 from hrd.perm import Permutation, is_baxter
 from hrd.floorplan import (
     FloorplanFormatError,
@@ -31,6 +32,7 @@ from oracles import (
     enumerate_floorplans,
     enveloping_rectangles,
     fp2bp_by_scan,
+    fp2bp_by_two_orders,
     inflate,
     reflect,
     render_by_grid,
@@ -178,6 +180,22 @@ class TestFp2bp:
         with pytest.raises(ValueError):
             fp2bp(MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1),)))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_one_deletion_order(self, n, monkeypatch):
+        """fp2bp deletes each room but the last once, in top-left order,
+        and reads the bottom-left order off those deletions."""
+        calls = []
+        delete = hrd.floorplan._delete_top_left
+
+        def counted(at, width, height):
+            calls.append(len(at))
+            return delete(at, width, height)
+
+        monkeypatch.setattr(hrd.floorplan, "_delete_top_left", counted)
+        p = random_baxter(random.Random(n), n)
+        assert fp2bp(bp2fp(p)) == p
+        assert calls == list(range(n, 1, -1))
+
 
 class TestBp2fp:
     def test_small_floorplans(self):
@@ -283,6 +301,18 @@ class TestAgainstReference:
         for n in range(1, 8):
             for f in enumerate_floorplans(n):
                 assert fp2bp(f).values == fp2bp_by_scan(f)
+
+    def test_fp2bp_over_relabelled_shuffled_enumeration(self):
+        """String ids and a shuffled room order: the one-order fp2bp, the
+        two-order reference and the full scans agree."""
+        rng = random.Random(7)
+        for n in range(1, 8):
+            for f in enumerate_floorplans(n):
+                rooms = [r._replace(id=f"room-{r.id * 37 % 101}") for r in f.rooms]
+                rng.shuffle(rooms)
+                g = f._replace(rooms=tuple(rooms))
+                assert fp2bp(g) == fp2bp_by_two_orders(g) == fp2bp(f)
+                assert fp2bp(g).values == fp2bp_by_scan(g)
 
     @pytest.mark.parametrize("n", [300, 1000])
     def test_fp2bp_on_respaced_large_inputs(self, n):
