@@ -8,15 +8,16 @@ first-child slot of a node labeled 12 (resp. 21) may not itself be labeled
 12 (resp. 21).  With that rule the tree for a permutation is unique and is
 exactly its recursive canonical decomposition.
 
-The permutation side is one decomposition walk (``_walk``) over index
-ranges of the permutation's values: each node costs one prefix scan up to
-its first sum cut, or O(size * blocks) when its skeleton is longer than 2,
-and no node copies its children.  The walk also decides Baxter, since p is
-Baxter exactly when every skeleton is, so ``tree_of_perm``, ``is_hrd`` and
-``hierarchy_order`` read p once, in that walk.  The tree side walks the
-nodes in preorder on an explicit stack (``_nodes``): ``perm_of_tree`` takes
-subtree sizes in reverse preorder and then places every leaf top-down, and
-``format_tree`` writes the text in one preorder pass.  Node equality,
+The permutation side reads ``perm._decomposition``, one left-to-right
+stack pass that copies nothing.  It also decides Baxter, since p is Baxter
+exactly when every skeleton is: blocks are value intervals, so a 2-41-3 or
+3-14-2 in p lies inside one block or among the blocks of one skeleton, and
+one among the blocks lifts to p through the last entry of the left block
+and the first entry of the right one.  So ``tree_of_perm``, ``is_hrd`` and
+``hierarchy_order`` read p once.  The tree side walks the nodes in preorder
+on an explicit stack (``_nodes``): ``perm_of_tree`` takes subtree sizes in
+reverse preorder and then places every leaf top-down, and ``format_tree``
+writes the text in one preorder pass.  Node equality,
 hashing and repr go through that text, so nothing recurses on an input's
 nesting depth and each costs time linear in the tree's size.
 """
@@ -25,7 +26,10 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .perm import Permutation, _Frozen, _insertions, _split, is_baxter
+from .perm import Permutation, _Frozen, _decomposition, is_baxter
+
+
+_P12, _P21 = Permutation((1, 2)), Permutation((2, 1))
 
 
 class NotBaxter(ValueError):
@@ -123,53 +127,40 @@ def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
     """The unique skewed generating tree of order k evaluating to ``p``.
 
     Returns None when some skeleton of the recursive canonical decomposition
-    is longer than k, i.e. when p is not an order-k permutation.  The walk
+    is longer than k, i.e. when p is not an order-k permutation.  The pass
     checks every skeleton for Baxter, so a tree needs no other check.  Only
-    when a skeleton longer than k stops the walk early, or k < 2, does the
+    when a skeleton longer than k stops the pass early, or k < 2, does the
     O(n) ``is_baxter(p)`` run, to raise ``NotBaxter`` (before k is checked)
-    for a p that is not Baxter.
+    for a p that is not Baxter.  Nodes are built in reverse preorder.
     """
     if k < 2 and is_baxter(p):  # a p that is not Baxter raises NotBaxter below
         raise ValueError("order k must be >= 2")
-    parts = []
-    for skeleton, kids in _walk(p):
-        if len(skeleton) > k:
-            if not is_baxter(p):  # the walk stopped before it read all of p
-                raise NotBaxter("generating trees exist only for Baxter permutations")
-            return None
-        parts.append((skeleton, kids))
-    built: list[GenTree] = []
-    for skeleton, kids in reversed(parts):
-        # later siblings were built first, so the first child is on top
-        built.append(Node(Permutation(skeleton), tuple(Leaf() if b - a == 1 else built.pop() for a, b, _ in kids)))
-    return built[0] if built else Leaf()
-
-
-def _walk(p: Permutation) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
-    """``_split`` of every non-singleton part of p's recursive canonical
-    decomposition, parents first and children left to right.
-
-    Iterative, so nesting depth is unbounded; lazy, so a caller that stops
-    early splits nothing further.  Raises ``NotBaxter`` at the first
-    skeleton that is not Baxter, which decides p: blocks are value
-    intervals, so an occurrence of 2-41-3 or 3-14-2 in p lies inside one
-    block or among the blocks of one skeleton, and one among the blocks
-    lifts to p, its adjacent pair through the last entry of the left block
-    and the first entry of the right one.
-    """
-    vals = p.values
-    stack = [(0, len(vals), 1)]
+    try:
+        found = _decomposition(p.values, k)
+    except ValueError:
+        raise NotBaxter("generating trees exist only for Baxter permutations") from None
+    if found is None:
+        if not is_baxter(p):  # the pass stopped before it read all of p
+            raise NotBaxter("generating trees exist only for Baxter permutations")
+        return None
+    blocks, stack = [], [found[0]]
     while stack:
-        a, b, lo = stack.pop()
-        if b - a > 1:
-            skeleton, kids = _split(vals, a, b, lo)
-            if len(skeleton) > 2:
-                try:
-                    _insertions(skeleton)
-                except ValueError:
-                    raise NotBaxter("generating trees exist only for Baxter permutations") from None
-            yield skeleton, kids
-            stack.extend(reversed(kids))
+        block = stack.pop()
+        if block[4] is not None:
+            blocks.append(block)
+            stack.extend(reversed(block[4]))
+    built: list[GenTree] = []
+    for _, _, _, skeleton, kids, *_ in reversed(blocks):
+        # later siblings were built first, so the first child is on top
+        subtrees = [Leaf() if b[4] is None else built.pop() for b in kids]
+        if len(skeleton) > 2:
+            built.append(Node(Permutation(skeleton), tuple(subtrees)))
+            continue
+        label, t = _P12 if skeleton[0] == 1 else _P21, subtrees.pop()
+        while subtrees:
+            t = Node(label, (subtrees.pop(), t))
+        built.append(t)
+    return built[0] if built else Leaf()
 
 
 def is_hrd(p: Permutation, k: int) -> bool:
@@ -177,17 +168,17 @@ def is_hrd(p: Permutation, k: int) -> bool:
     if k < 2:
         raise ValueError("order k must be >= 2")
     try:
-        return all(len(skeleton) <= k for skeleton, _ in _walk(p))
-    except NotBaxter:
+        return _decomposition(p.values, k) is not None
+    except ValueError:
         return False
 
 
 def hierarchy_order(p: Permutation) -> int:
     """Smallest k for which ``is_hrd(p, k)`` holds (1 for the singleton).
-    The walk reads every skeleton, so it alone decides that p is Baxter."""
+    The pass reads every skeleton, so it alone decides that p is Baxter."""
     try:
-        return max((len(skeleton) for skeleton, _ in _walk(p)), default=1)
-    except NotBaxter:
+        return _decomposition(p.values, len(p))[1]
+    except ValueError:
         raise ValueError("hierarchy order is defined for Baxter permutations") from None
 
 

@@ -7,12 +7,16 @@ is a bijection on {1..n} kept in one-line notation, so ``41352`` sends
 position 1 to value 4.
 
 ``is_baxter`` is the O(n) corner-insertion pass ``_insertions``, which
-``floorplan.bp2fp`` places its rooms on and the ``gentree`` walk runs on
+``floorplan.bp2fp`` places its rooms on and ``_decomposition`` runs on
 each skeleton; the census prunes with its pair test, ``_baxter_pair_ok``.
-``is_ihrd`` tests irreducibility.  ``census_simple_baxter`` lists the
-simple Baxter permutations of one length from 2 up to ``CENSUS_CAP`` by
-one cached, pruned search, and ``_grow_label`` finds one two longer that
-contains a given one.
+``_decomposition`` builds the recursive canonical decomposition in one
+left-to-right stack pass, which ``decompose``, ``is_simple`` and ``gentree``
+read.  It is linear on slicing chains nested either way; its worst case,
+O(n^2), is one large simple skeleton such as the spiral 4 9 5 3 6 2 7 1 8
+..., each of whose entries scans the whole stack.  ``is_ihrd`` tests
+irreducibility.  ``census_simple_baxter`` lists the simple Baxter
+permutations of one length from 2 up to ``CENSUS_CAP`` by one cached,
+pruned search, and ``_grow_label`` finds one two longer that contains it.
 """
 
 from __future__ import annotations
@@ -197,61 +201,82 @@ def _child(vals: tuple[int, ...], start: int, stop: int, lo: int) -> Permutation
     return Permutation(tuple([v - lo + 1 for v in vals[start:stop]]))
 
 
-def _rank_seq(seq: tuple[int, ...]) -> tuple[int, ...]:
-    order = sorted(range(len(seq)), key=seq.__getitem__)
-    ranks = [0] * len(seq)
-    for r, idx in enumerate(order, 1):
-        ranks[idx] = r
-    return tuple(ranks)
+_UP, _DOWN = (1, 2), (2, 1)
 
 
-def _split(vals: tuple[int, ...], a: int, b: int, lo: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """The canonical decomposition of ``vals[a:b]`` (length >= 2), whose
-    values are ``lo..lo+b-a-1``: the skeleton's values and each child's
-    ``(start, stop, lowest value)``, with nothing copied.
+def _decomposition(vals: tuple[int, ...], k: int, baxter: bool = True) -> tuple[tuple, int] | None:
+    """The recursive canonical decomposition of ``vals`` in one stack pass:
+    the root block and the longest skeleton's length, or None at the first
+    skeleton longer than k.  With ``baxter``, ``_insertions`` checks every
+    skeleton longer than 2 and raises ValueError if it is not Baxter.
 
-    One prefix scan stops at the first direct-sum cut (the prefix holds the
-    lowest values) or skew-sum cut (the highest).  No range has cuts of both
-    kinds, so the first cut found is the canonical one, and its first child
-    is sum- (skew-) indecomposable.  With no cut, the maximal proper blocks
-    partition the range: O(size * blocks).
+    A block ``(start, lo, hi, skeleton, kids)`` holds the values lo..hi from
+    position start on, both None for one entry; a 12 (21) block's kids A1,
+    A2, ... stand for 12[A1, 12[A2, ...]].  A new block merges with a top
+    whose values meet its own, into the top's kids if joined the same way;
+    else the nearest run of stacked blocks ending at it whose values are an
+    interval is a prime node over them (Bose, Buss & Lubiw's separating-tree
+    stack, extended to prime nodes).  The scan down stops once the run's
+    range covers a value still to come, a scanned block's lo - 1 or hi + 1.
     """
-    top = lo + b - a - 1
-    mx = mn = vals[a]
-    for j in range(a + 1, b):  # the prefix is vals[a:j]
-        if mx == lo + j - a - 1:
-            return (1, 2), [(a, j, lo), (j, b, mx + 1)]
-        if mn == top - (j - a) + 1:
-            return (2, 1), [(a, j, mn), (j, b, lo)]
-        v = vals[j]
-        if v > mx:
-            mx = v
-        elif v < mn:
-            mn = v
-
-    kids: list[tuple[int, int, int]] = []
-    i = a
-    while i < b:
-        stop, low = i + 1, vals[i]
-        mn = mx = vals[i]
-        for j in range(i + 1, b - 1 if i == a else b):  # proper blocks only
-            v = vals[j]
-            if v < mn:
-                mn = v
-            elif v > mx:
-                mx = v
-            if mx - mn == j - i:
-                stop, low = j + 1, mn
-        kids.append((i, stop, low))
-        i = stop
-    return _rank_seq(tuple(low for _, _, low in kids)), kids
+    n = len(vals)
+    at = [-1] * (n + 2)  # position of each value; 0 and n + 1 never come
+    for i, v in enumerate(vals):
+        at[v] = i
+    stack, order = [], min(n, 2)
+    for i, v in enumerate(vals):
+        start, lo, hi = i, v, v
+        skeleton = kids = None
+        while stack:
+            top = stack[-1]
+            up = top[2] + 1 == lo
+            if up or hi + 1 == top[1]:
+                stack.pop()
+                child = (start, lo, hi, skeleton, kids)
+                skeleton = _UP if up else _DOWN
+                kids = top[4] if top[3] is skeleton else [top]
+                kids.append(child)
+                start, lo, hi = top[0], top[1] if up else lo, hi if up else top[2]
+                continue
+            below, above = at[lo - 1], at[hi + 1]
+            low, high, under, over, found = lo, hi, below > i, above > i, False
+            for s, l, h, _, _, b, a, j in reversed(stack):
+                if l < low:  # a value to come inside the range stops the scan
+                    if under or a > i:
+                        break
+                    low, under = l, b > i
+                elif h > high:
+                    if over or b > i:
+                        break
+                    high, over = h, a > i
+                elif a > i or b > i:
+                    break
+                if high - low == i - s:
+                    found = True
+                    break
+            if not found:
+                break
+            node = stack[j:] + [(start, lo, hi, skeleton, kids)]
+            del stack[j:]
+            if len(node) > k:
+                return None
+            lows, ranks = [b[1] for b in node], [0] * len(node)
+            for r, x in enumerate(sorted(range(len(node)), key=lows.__getitem__), 1):
+                ranks[x] = r
+            skeleton = tuple(ranks)
+            if baxter:
+                _insertions(skeleton)
+            start, lo, hi, kids, order = node[0][0], low, high, node, max(order, len(node))
+        else:
+            below, above = at[lo - 1], at[hi + 1]
+        stack.append((start, lo, hi, skeleton, kids, below, above, len(stack)))  # positions of lo - 1, hi + 1
+    return stack[0], order
 
 
 def _simple(vals: tuple[int, ...]) -> bool:
-    """Simplicity read off ``_split``: the canonical decomposition of a
-    simple permutation longer than 2 has one child per entry."""
-    n = len(vals)
-    return n <= 2 or len(_split(vals, 0, n, 1)[1]) == n
+    """Simplicity read off the pass: only the root of a simple permutation
+    longer than 2, one child per entry, has a skeleton longer than n - 1."""
+    return len(vals) <= 2 or _decomposition(vals, len(vals) - 1, False) is None
 
 
 def is_simple(p: Permutation) -> bool:
@@ -276,8 +301,12 @@ def decompose(p: Permutation) -> Decomposition:
     """
     if len(p) < 2:
         raise ValueError("cannot decompose a singleton")
-    skeleton, kids = _split(p.values, 0, len(p), 1)
-    return Decomposition(Permutation(skeleton), tuple(_child(p.values, *r) for r in kids))
+    vals = p.values
+    _, _, _, skeleton, kids = _decomposition(vals, len(vals), False)[0][:5]
+    ranges = [(s, s + h - l + 1, l) for s, l, h, *_ in kids]
+    if len(skeleton) == 2:  # a 12 (21) root splits after its first component
+        ranges[1:] = [(ranges[0][1], len(vals), ranges[0][1] + 1 if skeleton is _UP else 1)]
+    return Decomposition(Permutation(skeleton), tuple(_child(vals, *r) for r in ranges))
 
 
 @lru_cache(maxsize=None)

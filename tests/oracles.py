@@ -11,7 +11,7 @@ method; what each takes from the library:
   which ``bp2fp`` and the decomposition walk read too.
 - ``is_simple_by_scan`` grows every segment from every start and stops at
   the first proper block; the production ``is_simple`` reads simplicity
-  off the canonical decomposition (``hrd.perm._split``).
+  off the root of the decomposition pass (``hrd.perm._decomposition``).
 - ``simple_baxter_perms_by_scan`` filters the whole symmetric group with
   ``baxter_pair_scan`` and ``is_simple_by_scan``; the production
   ``census_simple_baxter`` prunes prefixes instead.
@@ -48,12 +48,19 @@ method; what each takes from the library:
 - ``decompositions_by_copies`` walks p's recursive canonical decomposition
   by calling ``hrd.perm.decompose`` on a re-ranked copy of every part, and
   ``tree_of_perm_by_copies`` builds the tree from it, after
-  ``baxter_pair_scan`` has decided Baxter; the production walk
-  splits index ranges of p with ``_split`` and copies nothing.
+  ``baxter_pair_scan`` has decided Baxter; the production pass
+  (``hrd.perm._decomposition``) merges blocks of p bottom-up and copies
+  nothing.
   ``perm_of_tree_by_inflation`` folds a tree with ``_fold``,
   inflating every label by copies of its children's permutations
   (``inflate``); the production ``perm_of_tree`` places every leaf
   top-down.
+- ``walk_by_split`` walks p's decomposition top-down, one ``_split`` of an
+  index range per node: a prefix scan up to the first sum cut, or the
+  maximal proper blocks at O(size * blocks).  ``tree_of_perm_by_split``
+  builds the tree from it after ``baxter_pair_scan``.  Neither shares code
+  with the production pass, which reads p once, left to right, and finds
+  the same nodes.
 - ``single_room``, ``validate``, ``reflect``, ``delete_corner``,
   ``insert_max``, ``leaf_count``, ``check_tree``, ``parse_tree``,
   ``random_tree``, ``slicing_chain``, ``odd_up_even_down`` and
@@ -78,7 +85,8 @@ method; what each takes from the library:
   ``hrd.perm._grow_label`` merges the extensions lazily in the same
   order.  The reference tests Baxter with ``baxter_pair_scan`` and
   simplicity with ``is_simple_by_scan``; the production route tests
-  ``hrd.perm._simple``, which reads ``_split``, and ``is_baxter``.
+  ``hrd.perm._simple``, which reads the decomposition pass, and
+  ``is_baxter``.
 """
 
 from __future__ import annotations
@@ -327,13 +335,13 @@ def inflate_entry(vals: tuple[int, ...], i: int, pattern: tuple[int, ...]) -> tu
     return tuple(up[:i] + [v - 1 + x for x in pattern] + up[i + 1 :])
 
 
-def slicing_chain(depth: int, bottom: Permutation) -> GenTree:
+def slicing_chain(depth: int, bottom: Permutation, first: bool = False) -> GenTree:
     """``depth`` nested cuts alternating 21 and 12 from the top, each with a
-    leaf first and the rest of the chain second, ending in a node labeled
-    ``bottom`` over leaves."""
+    leaf first and the rest of the chain second (``first``: the rest first
+    and the leaf second), ending in a node labeled ``bottom`` over leaves."""
     t: GenTree = Node(bottom, (Leaf(),) * len(bottom))
     for level in reversed(range(depth)):
-        t = Node(_P12 if level % 2 else _P21, (Leaf(), t))
+        t = Node(_P12 if level % 2 else _P21, (t, Leaf()) if first else (Leaf(), t))
     return t
 
 
@@ -398,6 +406,89 @@ def tree_of_perm_by_copies(p: Permutation, k: int) -> GenTree | None:
     for d in reversed(parts):
         kids = tuple(Leaf() if len(c) == 1 else built.pop() for c in d.children)
         built.append(Node(d.skeleton, kids))
+    return built[0] if built else Leaf()
+
+
+# ------------------------------------------------ the walk by splits
+
+
+def _rank_seq(seq: tuple[int, ...]) -> tuple[int, ...]:
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    ranks = [0] * len(seq)
+    for r, idx in enumerate(order, 1):
+        ranks[idx] = r
+    return tuple(ranks)
+
+
+def _split(vals: tuple[int, ...], a: int, b: int, lo: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """The canonical decomposition of ``vals[a:b]`` (length >= 2), whose
+    values are ``lo..lo+b-a-1``: the skeleton's values and each child's
+    ``(start, stop, lowest value)``, with nothing copied.
+
+    One prefix scan stops at the first direct-sum cut (the prefix holds the
+    lowest values) or skew-sum cut (the highest).  No range has cuts of both
+    kinds, so the first cut found is the canonical one, and its first child
+    is sum- (skew-) indecomposable.  With no cut, the maximal proper blocks
+    partition the range: O(size * blocks).
+    """
+    top = lo + b - a - 1
+    mx = mn = vals[a]
+    for j in range(a + 1, b):  # the prefix is vals[a:j]
+        if mx == lo + j - a - 1:
+            return (1, 2), [(a, j, lo), (j, b, mx + 1)]
+        if mn == top - (j - a) + 1:
+            return (2, 1), [(a, j, mn), (j, b, lo)]
+        v = vals[j]
+        if v > mx:
+            mx = v
+        elif v < mn:
+            mn = v
+
+    kids: list[tuple[int, int, int]] = []
+    i = a
+    while i < b:
+        stop, low = i + 1, vals[i]
+        mn = mx = vals[i]
+        for j in range(i + 1, b - 1 if i == a else b):  # proper blocks only
+            v = vals[j]
+            if v < mn:
+                mn = v
+            elif v > mx:
+                mx = v
+            if mx - mn == j - i:
+                stop, low = j + 1, mn
+        kids.append((i, stop, low))
+        i = stop
+    return _rank_seq(tuple(low for _, _, low in kids)), kids
+
+
+def walk_by_split(vals: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+    """``_split`` of every non-singleton part of the recursive canonical
+    decomposition of ``vals``, parents first and children left to right,
+    on an explicit stack of index ranges.  It decides nothing about Baxter."""
+    stack = [(0, len(vals), 1)]
+    while stack:
+        a, b, lo = stack.pop()
+        if b - a > 1:
+            skeleton, kids = _split(vals, a, b, lo)
+            yield skeleton, kids
+            stack.extend(reversed(kids))
+
+
+def tree_of_perm_by_split(p: Permutation, k: int) -> GenTree | None:
+    """Reference ``tree_of_perm`` over ``walk_by_split``, after
+    ``baxter_pair_scan`` has decided Baxter."""
+    if not baxter_pair_scan(p.values):
+        raise NotBaxter("generating trees exist only for Baxter permutations")
+    if k < 2:
+        raise ValueError("order k must be >= 2")
+    parts = list(walk_by_split(p.values))
+    if any(len(skeleton) > k for skeleton, _ in parts):
+        return None
+    built: list[GenTree] = []
+    for skeleton, kids in reversed(parts):
+        # later siblings were built first, so the first child is on top
+        built.append(Node(Permutation(skeleton), tuple(Leaf() if b - a == 1 else built.pop() for a, b, _ in kids)))
     return built[0] if built else Leaf()
 
 

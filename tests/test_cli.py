@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import time
@@ -13,7 +14,7 @@ from hrd.perm import Permutation, census_simple_baxter, is_ihrd
 from hrd.floorplan import bp2fp, format_floorplan, parse_floorplan, fp2bp
 from hrd.gentree import perm_of_tree
 
-from oracles import inflate_entry, odd_up_even_down, parse_tree
+from oracles import inflate_entry, odd_up_even_down, parse_tree, slicing_chain
 
 
 def invoke(capsys, *argv):
@@ -73,6 +74,25 @@ class TestCheck:
         for vals, expected in ((chain, (0, "true\n", "")), (bad, (1, "false\n", ""))):
             path.write_text(" ".join(map(str, vals)))
             assert invoke(capsys, "check", "baxter", "--file", str(path)) == expected
+        assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize(
+        "kind, make, expected",
+        [
+            ("hrd", lambda n: perm_of_tree(slicing_chain(n, Permutation.parse("21"), first=True)).values, "true\n"),
+            ("hrd", odd_up_even_down, "true\n"),
+            ("simple", lambda n: tuple(random.Random(n).sample(range(1, n + 1), n)), "false\n"),
+        ],
+        ids=["first-child-chain", "odd-up-even-down", "random"],
+    )
+    def test_decomposition_is_linear_on_large_inputs(self, capsys, tmp_path, kind, make, expected):
+        # quadratic for a top-down walk that splits each node by a scan:
+        # tens of seconds at this size
+        path = tmp_path / "p.txt"
+        path.write_text(" ".join(map(str, make(20_000))))
+        args = ("check", kind, "--k", "2") if kind == "hrd" else ("check", kind)
+        start = time.perf_counter()
+        assert invoke(capsys, *args, "--file", str(path)) == (0 if expected == "true\n" else 1, expected, "")
         assert time.perf_counter() - start < 3.0
 
     def test_perm_from_file(self, capsys, tmp_path):

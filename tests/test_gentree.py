@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hrd.perm
-from hrd.perm import Permutation, census_simple_baxter, is_ihrd
+from hrd.perm import Decomposition, Permutation, _decomposition, census_simple_baxter, decompose, is_ihrd, is_simple
 from hrd.floorplan import bp2fp, fp2bp
 from hrd.gentree import (
     Leaf,
@@ -33,7 +33,9 @@ from oracles import (
     random_tree,
     slicing_chain,
     tree_of_perm_by_copies,
+    tree_of_perm_by_split,
     validate,
+    walk_by_split,
 )
 
 P = Permutation.parse
@@ -218,6 +220,82 @@ class TestWalkMatchesCopies:
         assert perm_of_tree(t) == p
         _agrees_with_copies(p, (6, 7))
         assert tree_of_perm(p, 7) == t
+
+
+def _pass_preorder(vals: tuple[int, ...]) -> list[tuple[tuple[int, ...], list[tuple[int, int, int]]]]:
+    """The blocks of ``perm._decomposition`` as ``walk_by_split`` yields its
+    nodes: parents first, each skeleton with its children's ``(start, stop,
+    lowest value)``, and a flat 12 (21) block as its right comb."""
+    out = []
+    stack = [_decomposition(vals, len(vals), False)[0]]
+    while stack:
+        start, lo, hi, skeleton, kids = stack.pop()[:5]
+        if kids is None:
+            continue
+        if len(skeleton) > 2:
+            out.append((skeleton, [(s, s + h - l + 1, l) for s, l, h, *_ in kids]))
+            stack.extend(reversed(kids))
+            continue
+        (s, l, h, *_), rest = kids[0], kids[1:]
+        low = h + 1 if skeleton == (1, 2) else lo  # the values of the rest
+        out.append((skeleton, [(s, s + h - l + 1, l), (rest[0][0], start + hi - lo + 1, low)]))
+        stack.append(rest[0] if len(rest) == 1 else (rest[0][0], low, low + hi - h + l - 1 - lo, skeleton, rest))
+        stack.append(kids[0])
+    return out
+
+
+def _agrees_with_split(vals: tuple[int, ...]) -> None:
+    """The pass finds the nodes of the walk by splits, node for node, and
+    every route that reads it answers as that walk does."""
+    parts = list(walk_by_split(vals))
+    assert _pass_preorder(vals) == parts, vals
+    p, n = Permutation(vals), len(vals)
+    assert is_simple(p) == (n <= 2 or len(parts[0][1]) == n)
+    if n > 1:
+        skeleton, kids = parts[0]
+        children = tuple(Permutation(tuple(v - lo + 1 for v in vals[a:b])) for a, b, lo in kids)
+        assert decompose(p) == Decomposition(Permutation(skeleton), children)
+    if not baxter_pair_scan(vals):
+        with pytest.raises(NotBaxter):
+            tree_of_perm(p, n)
+        with pytest.raises(ValueError):
+            hierarchy_order(p)
+        assert not is_hrd(p, max(2, n))
+        return
+    order = max((len(skeleton) for skeleton, _ in parts), default=1)
+    assert hierarchy_order(p) == order
+    k = max(2, order)
+    assert is_hrd(p, k) and tree_of_perm(p, k) == tree_of_perm_by_split(p, k)
+    if order > 2:
+        assert not is_hrd(p, order - 1) and tree_of_perm(p, order - 1) is None
+
+
+class TestPassMatchesSplit:
+    """The bottom-up pass against the top-down walk by splits."""
+
+    def test_every_permutation_up_to_length_8(self):
+        for n in range(1, 9):
+            for vals in itertools.permutations(range(1, n + 1)):
+                _agrees_with_split(vals)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_trees_of_800_elements(self, seed):
+        rng = random.Random(seed)
+        labels = census_simple_baxter(2) + census_simple_baxter(5) + census_simple_baxter(7)[:4]
+        vals = perm_of_tree(random_tree(rng, rng.randrange(780, 821), labels)).values
+        _agrees_with_split(vals)
+        _agrees_with_split(inflate_entry(vals, rng.randrange(len(vals)), (2, 4, 1, 3)))
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_chains_nested_in_first_and_last_children(self, first):
+        for bottom in ("41352", "2475316"):
+            t = slicing_chain(1000, Permutation.parse(bottom), first)
+            _agrees_with_split(perm_of_tree(t).values)
+
+    def test_odd_up_even_down(self):
+        chain = odd_up_even_down(2000)
+        _agrees_with_split(chain)
+        _agrees_with_split(_swapped(chain, 700))
 
 
 def _swapped(vals: tuple[int, ...], j: int) -> tuple[int, ...]:

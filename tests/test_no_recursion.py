@@ -71,10 +71,10 @@ def test_lowerbound_imports_no_counting():
 
 
 def test_gentree_walks_ranges_not_copies():
-    # the walk splits index ranges with perm._split; decompose and inflate
-    # build a Permutation per child
+    # the tree routes read perm._decomposition, one pass over index ranges;
+    # decompose and inflate build a Permutation per child
     names = sibling_names("gentree")
-    assert "_split" in names
+    assert "_decomposition" in names
     assert not names & {"decompose", "inflate"}
 
 
@@ -110,10 +110,18 @@ def next_greater_stacks(module: str) -> set[str]:
     return found
 
 
+def calls(module: str, function: str) -> set[str]:
+    """The names that ``hrd.<module>.<function>`` calls directly."""
+    tree = ast.parse((LIBRARY / f"{module}.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {c.func.id for c in ast.walk(fn) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+
+
 def test_perm_alone_decides_baxter():
-    # is_baxter, bp2fp's insertions, the walk's skeleton check and label
-    # growth all read perm._insertions; the census keeps its pair test
-    assert "_insertions" in sibling_names("floorplan") & sibling_names("gentree")
+    # is_baxter, bp2fp's insertions, the decomposition pass's skeleton check
+    # and label growth all read perm._insertions; the census keeps its pair test
+    assert "_insertions" in sibling_names("floorplan")
+    assert "_insertions" in calls("perm", "_decomposition")
     modules = [path.stem for path in sorted(LIBRARY.glob("*.py"))]
     defined = {
         node.name
