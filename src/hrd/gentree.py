@@ -14,19 +14,21 @@ exactly when every skeleton is: blocks are value intervals, so a 2-41-3 or
 3-14-2 in p lies inside one block or among the blocks of one skeleton, and
 one among the blocks lifts to p through the last entry of the left block
 and the first entry of the right one.  So ``tree_of_perm``, ``is_hrd`` and
-``hierarchy_order`` read p once.  The tree side walks the nodes in preorder
-on an explicit stack (``_nodes``): ``perm_of_tree`` takes subtree sizes in
-reverse preorder and then places every leaf top-down, and ``format_tree``
-writes the text in one preorder pass.  Node equality,
-hashing and repr go through that text, so nothing recurses on an input's
-nesting depth and each costs time linear in the tree's size.
+``hierarchy_order`` read p once: ``is_hrd`` stops the pass at the first
+skeleton longer than k, and ``tree_of_perm`` runs it unbounded, to tell
+"not Baxter" from "order too small" by the same read.  On the tree side
+every node carries its leaf count, set when it is built, so
+``perm_of_tree`` places every leaf in one top-down pass on an explicit
+stack, and ``format_tree`` writes the text in one preorder pass.  Node
+equality, hashing and repr go through that text, so nothing recurses on an
+input's nesting depth and each costs time linear in the tree's size.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Union
 
-from .perm import Permutation, _Frozen, _decomposition, is_baxter
+from .perm import Permutation, _Frozen, _decomposition
 
 
 _P12, _P21 = Permutation((1, 2)), Permutation((2, 1))
@@ -37,9 +39,11 @@ class NotBaxter(ValueError):
 
 
 class Leaf:
-    """A basic room.  All leaves are equal, and no leaf equals anything else."""
+    """A basic room, of one leaf.  All leaves are equal, and no leaf equals
+    anything else."""
 
     __slots__ = ()
+    size = 1
 
     def __eq__(self, other: object) -> bool:
         return True if other.__class__ is Leaf else NotImplemented
@@ -52,16 +56,22 @@ class Leaf:
 
 
 class Node(_Frozen):
-    """An internal node, immutable.  Equality, hashing and repr go through
-    the text form, which is injective and built without recursion."""
+    """An internal node, immutable, with its number of leaves.  Equality,
+    hashing and repr go through the text form, which is injective and built
+    without recursion."""
 
-    __slots__ = ("label", "children")
+    __slots__ = ("label", "children", "size")
     label: Permutation
     children: tuple["GenTree", ...]
+    size: int
 
     def __init__(self, label: Permutation, children: tuple["GenTree", ...]) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", children)
+        size = 0
+        for child in children:
+            size += child.size
+        _set_label(self, label)
+        _set_children(self, children)
+        _set_size(self, size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
@@ -75,75 +85,59 @@ class Node(_Frozen):
         return f"Node({format_tree(self)})"
 
 
+# the slots' own setters, cheaper per node than object.__setattr__
+_set_label, _set_children, _set_size = Node.label.__set__, Node.children.__set__, Node.size.__set__
+
 GenTree = Union[Leaf, Node]
-
-
-def _nodes(t: GenTree) -> Iterator[Node]:
-    """The internal nodes of ``t``, parents first and children left to right."""
-    stack = [t]
-    while stack:
-        sub = stack.pop()
-        if isinstance(sub, Node):
-            yield sub
-            stack.extend(reversed(sub.children))
 
 
 def perm_of_tree(t: GenTree) -> Permutation:
     """Every node's label inflated by its children's permutations; a leaf is 1.
 
-    Subtree sizes come bottom-up, in reverse preorder, so every child's size
-    is known before its parent's.  Then, top-down, each node gives its
-    children their first position and lowest value, child i's values
-    starting above those of the children with smaller label values, and each
-    leaf writes its one entry.
+    One top-down pass on an explicit stack: each node gives its children
+    their first position and lowest value, child i's values starting above
+    those of the children with smaller label values, read off the sizes the
+    children carry, and each leaf writes its one entry.
     """
-    size: dict[int, int] = {}
-    for node in reversed(list(_nodes(t))):
-        m = len(node.label)
-        if len(node.children) != m:
-            raise ValueError(f"skeleton of length {m} needs {m} children, got {len(node.children)}")
-        size[id(node)] = sum(1 if isinstance(c, Leaf) else size[id(c)] for c in node.children)
-
-    out = [1] * size.get(id(t), 1)
+    out = [1] * t.size
     stack = [] if isinstance(t, Leaf) else [(t, 0, 1)]  # (node, first position, lowest value)
     while stack:
         node, pos, val = stack.pop()
-        label = node.label.values
-        sizes = [1 if isinstance(c, Leaf) else size[id(c)] for c in node.children]
-        low = [0] * len(label)
-        for slot in sorted(range(len(label)), key=label.__getitem__):
+        label, children = node.label.values, node.children
+        m = len(label)
+        if len(children) != m:
+            raise ValueError(f"skeleton of length {m} needs {m} children, got {len(children)}")
+        low = [0] * m
+        for slot in sorted(range(m), key=label.__getitem__):
             low[slot] = val
-            val += sizes[slot]
-        for child, m, v in zip(node.children, sizes, low):
+            val += children[slot].size
+        for child, v in zip(children, low):
             if isinstance(child, Leaf):
                 out[pos] = v
             else:
                 stack.append((child, pos, v))
-            pos += m
+            pos += child.size
     return Permutation(tuple(out))
 
 
 def tree_of_perm(p: Permutation, k: int) -> GenTree | None:
     """The unique skewed generating tree of order k evaluating to ``p``.
 
-    Returns None when some skeleton of the recursive canonical decomposition
-    is longer than k, i.e. when p is not an order-k permutation.  The pass
-    checks every skeleton for Baxter, so a tree needs no other check.  Only
-    when a skeleton longer than k stops the pass early, or k < 2, does the
-    O(n) ``is_baxter(p)`` run, to raise ``NotBaxter`` (before k is checked)
-    for a p that is not Baxter.  Nodes are built in reverse preorder.
+    One unbounded pass reads p: it checks every skeleton for Baxter and
+    raises ``NotBaxter`` for a p that is not Baxter, before k is checked.
+    Returns None when the longest skeleton of the recursive canonical
+    decomposition is longer than k, i.e. when p is not an order-k
+    permutation.  Nodes are built in reverse preorder.
     """
-    if k < 2 and is_baxter(p):  # a p that is not Baxter raises NotBaxter below
-        raise ValueError("order k must be >= 2")
     try:
-        found = _decomposition(p.values, k)
+        root, order = _decomposition(p.values, len(p))
     except ValueError:
         raise NotBaxter("generating trees exist only for Baxter permutations") from None
-    if found is None:
-        if not is_baxter(p):  # the pass stopped before it read all of p
-            raise NotBaxter("generating trees exist only for Baxter permutations")
+    if k < 2:
+        raise ValueError("order k must be >= 2")
+    if order > k:
         return None
-    blocks, stack = [], [found[0]]
+    blocks, stack = [], [root]
     while stack:
         block = stack.pop()
         if block[4] is not None:

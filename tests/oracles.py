@@ -37,7 +37,8 @@ method; what each takes from the library:
   ``hrd.floorplan._require_valid``, scan the cell grid of ``canonical`` and
   ``_grid``, and name rooms by ``_deletion_labels`` above, the labels
   ``fp2bp`` assigns.
-- ``_fold`` is a post-order fold over ``hrd.gentree._nodes`` in reverse.
+- ``_fold`` is a post-order fold over ``_nodes``, the internal nodes in
+  preorder on an explicit stack, taken in reverse.
   ``format_tree_by_fold`` builds the text of every node from its
   children's texts; the production ``format_tree`` writes it in one
   preorder pass.
@@ -109,7 +110,7 @@ from hrd.floorplan import (
     bp2fp,
     diagnose,
 )
-from hrd.gentree import GenTree, Leaf, Node, NotBaxter, _nodes, hierarchy_order
+from hrd.gentree import GenTree, Leaf, Node, NotBaxter, hierarchy_order
 from hrd.lowerbound import safe_sites
 from hrd.perm import (
     Decomposition,
@@ -221,6 +222,16 @@ def grow_label_by_sorting(label: Permutation) -> Permutation:
             if baxter_pair_scan(q2) and is_simple_by_scan(q2):
                 return Permutation(q2)
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")
+
+
+def _nodes(t: GenTree) -> Iterator[Node]:
+    """The internal nodes of ``t``, parents first and children left to right."""
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, Node):
+            yield sub
+            stack.extend(reversed(sub.children))
 
 
 def _fold(t: GenTree, leaf_value: V, combine: Callable[[Node, list[V]], V]) -> V:

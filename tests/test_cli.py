@@ -1,5 +1,6 @@
 import random
 import re
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -351,12 +352,10 @@ class TestDecomposeAndTree:
         assert (code, out) == (2, "") and "order k must be >= 2" in err
         assert invoke(capsys, "tree", "2413", "--k", "1") == (1, "no order-1 tree: not a Baxter permutation\n", "")
 
-    def test_no_whole_permutation_baxter_scan(self, capsys, monkeypatch):
-        def forbidden(p):
-            raise AssertionError(f"is_baxter({p}) called")
-
-        # the walk and bp2fp's insertions decide Baxter; floorplan binds no is_baxter
-        monkeypatch.setattr(gentree, "is_baxter", forbidden)
+    def test_no_whole_permutation_baxter_scan(self, capsys):
+        # the walk and bp2fp's insertions decide Baxter; neither gentree nor
+        # floorplan binds is_baxter
+        assert not hasattr(gentree, "is_baxter")
         assert not hasattr(hrd.floorplan, "is_baxter")
         wheel = "4 3 6\n1 0 0 1 2\n2 1 0 4 1\n3 1 1 3 2\n4 0 2 2 3\n5 2 2 3 3\n6 3 1 4 3\n"
         assert invoke(capsys, "tree", "451362", "--k", "5") == (0, "(41352 (12 . .) . . . .)\n", "")
@@ -450,6 +449,46 @@ def test_readme_examples_use_documented_options(capsys):
         documented = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         for opt in (tok for tok in argv[2:] if tok.startswith("--")):
             assert opt in documented, (argv, opt)
+
+
+# README examples whose comment states an output: the words of the comment
+# that state it, then the exit code and stdout the command gives
+STATED_OUTPUTS = {
+    'check baxter "2 4 1 3"': ("exit 1, prints false", 1, "false\n"),
+    "check hrd --k 5 41352": ("exit 0, prints true", 0, "true\n"),
+    "tree 451362 --k 5": ("(41352 (12 . .) . . . .)", 0, "(41352 (12 . .) . . . .)\n"),
+    "fp2bp wheel.fp": ("4 1 3 5 2", 0, "4 1 3 5 2\n"),
+    "count --k 11 --n 20": ("24535415330662", 0, "24535415330662\n"),
+    "sequence --k 2 --max 7": ("1 2 6 22 90 394 1806, one per line", 0, "1\n2\n6\n22\n90\n394\n1806\n"),
+    "census --len 5 --list": ("2, then 25314 and 41352", 0, "2\n2 5 3 1 4\n4 1 3 5 2\n"),
+    "lowerbound --k 11 --n 12": (
+        "family=3",
+        0,
+        "seed=2,4,6,10,7,5,3,1,9,11,8 k=11 n=12 family=3 expected=3 all_baxter=True all_hrd_k=True none_hrd_k-1=True\n",
+    ),
+}
+
+
+def test_readme_examples_print_what_they_state(capsys, tmp_path, monkeypatch):
+    """Each example runs in README order, in an empty directory, so that a
+    file the README writes with ``>`` is there for the examples after it."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    monkeypatch.chdir(tmp_path)
+    checked = set()
+    for line in readme.splitlines():
+        if not line.startswith("hrd "):
+            continue
+        command, _, comment = (part.strip() for part in line[4:].partition("#"))
+        command, _, target = (part.strip() for part in command.partition(">"))
+        if target:
+            assert run(shlex.split(command)) == 0, command
+            (tmp_path / target).write_text(capsys.readouterr().out)
+        elif command in STATED_OUTPUTS:
+            stated, code, out = STATED_OUTPUTS[command]
+            assert stated in comment, (command, comment)
+            assert invoke(capsys, *shlex.split(command)) == (code, out, ""), command
+            checked.add(command)
+    assert checked == set(STATED_OUTPUTS)
 
 
 def test_usage_error_exits_two(capsys):

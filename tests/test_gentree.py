@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from hrd.gentree import (
     Leaf,
     Node,
     NotBaxter,
-    _nodes,
     format_tree,
     hierarchy_order,
     is_hrd,
@@ -20,6 +20,7 @@ from hrd.gentree import (
 )
 
 from oracles import (
+    _nodes,
     baxter_pair_scan,
     check_tree,
     enumerate_trees,
@@ -65,6 +66,18 @@ class TestPermOfTree:
         with pytest.raises(ValueError, match="skeleton of length 2 needs 2 children, got 3"):
             perm_of_tree(nested)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_nodes_carry_their_leaf_count(self, seed):
+        rng = random.Random(seed)
+        labels = census_simple_baxter(2) + census_simple_baxter(5)
+        for t in (random_tree(rng, 300, labels), slicing_chain(500, P("41352"), first=bool(seed % 2)), WHEEL_TREE):
+            assert all(node.size == leaf_count(node) for node in _nodes(t))
+        assert Leaf().size == 1
+        with pytest.raises(AttributeError):
+            WHEEL_TREE.size = 1
+        with pytest.raises(AttributeError):
+            Leaf().size = 2
+
 
 class TestTreeOfPerm:
     def test_singleton(self):
@@ -107,6 +120,20 @@ class TestPredicates:
             for k in range(2, 6):
                 if is_hrd(p, k):
                     assert is_hrd(p, k + 1)
+
+    def test_is_hrd_stops_at_the_first_long_skeleton(self):
+        # 41352 (+) 41352 (+) ...: at k = 4 the pass stops at its first
+        # skeleton, of length 5, five entries into 200,000
+        p = Permutation(tuple(5 * i + v for i in range(40_000) for v in (4, 1, 3, 5, 2)))
+
+        def timed(k):
+            start = time.perf_counter()
+            result = is_hrd(p, k)
+            return result, time.perf_counter() - start
+
+        (full, whole), early = timed(5), [timed(4) for _ in range(3)]
+        assert full and not any(result for result, _ in early)
+        assert min(seconds for _, seconds in early) < whole / 5
 
     def test_is_ihrd_examples(self):
         assert is_ihrd(P("41352")) and is_ihrd(P("25314"))

@@ -72,10 +72,11 @@ def test_lowerbound_imports_no_counting():
 
 def test_gentree_walks_ranges_not_copies():
     # the tree routes read perm._decomposition, one pass over index ranges;
-    # decompose and inflate build a Permutation per child
+    # decompose and inflate build a Permutation per child, and that pass
+    # alone decides Baxter, so gentree needs no is_baxter or _insertions
     names = sibling_names("gentree")
     assert "_decomposition" in names
-    assert not names & {"decompose", "inflate"}
+    assert not names & {"decompose", "inflate", "is_baxter", "_insertions"}
 
 
 def next_greater_stacks(module: str) -> set[str]:
