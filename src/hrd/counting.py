@@ -66,10 +66,10 @@ from types import MappingProxyType
 from . import unlimited_int_text
 
 # tables this short come from the convolution alone, which never loads
-# ``_recurrences`` (about 3 ms to compile) or decodes a class (0.1 ms for
-# class 5, 1.5 ms for class 9).  Up to here the convolution beats the
+# ``_recurrences`` (1.5-3 ms to compile) or decodes a class (0.03-0.06 ms
+# for class 5, 0.6-1.3 ms for class 9).  Up to here the convolution beats the
 # recurrence with those costs added (fresh processes): k = 5, n = 40 takes
-# 1.0 ms against 3.5 ms, and k = 9, n = 80 takes 7 ms against 9.5 ms.
+# 0.9 ms against 3.1 ms, and k = 9, n = 80 takes 6.1 ms against 8.3 ms.
 _CONVOLVED = 80
 
 _MEMO_ENV = "HRD_MEMO_DIR"

@@ -361,31 +361,16 @@ def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
-def _one_point_extensions(vals: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _one_point_extensions(vals: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct permutations one longer than ``vals`` that contain it, in
-    lexicographic order, built one at a time.
-
-    For one new value v the sites already come in order: inserting v before
-    a larger entry precedes every later site, and before a smaller one
-    follows them.  So the sites before larger entries go left to right, then
-    the end, then the sites before smaller entries right to left; heapq.merge
-    interleaves the streams of the n + 1 values, and equal neighbours are
-    dropped.
-    """
-    import heapq  # here, not at the top: every command loads perm, only growth merges
-
-    def with_value(v: int) -> Iterator[tuple[int, ...]]:
-        bumped = tuple(x + 1 if x >= v else x for x in vals)
-        n = len(bumped)
-        sites = [i for i in range(n) if v < bumped[i]] + [n] + [i for i in reversed(range(n)) if v > bumped[i]]
-        for i in sites:
-            yield bumped[:i] + (v,) + bumped[i:]
-
-    last = None
-    for q in heapq.merge(*(with_value(v) for v in range(1, len(vals) + 2))):
-        if q != last:
-            yield q
-            last = q
+    lexicographic order: one set of the (n + 1)^2 insertions of a new value
+    v at each site, the entries >= v bumped up by one, sorted."""
+    n = len(vals)
+    out = set()
+    for v in range(1, n + 2):
+        bumped = tuple([x + 1 if x >= v else x for x in vals])
+        out.update(bumped[:i] + (v,) + bumped[i:] for i in range(n + 1))
+    return sorted(out)
 
 
 def _grow_label(label: Permutation) -> Permutation:

@@ -81,12 +81,15 @@ method; what each takes from the library:
   on its own list of forward differences; the production
   ``hrd.counting._recur`` packs the same differences of every polynomial into
   one integer per difference order.
-- ``grow_label_by_sorting`` builds and sorts every one- and two-point
-  extension and tests Baxter before simple; the production
-  ``hrd.perm._grow_label`` merges the extensions lazily in the same
-  order.  The reference tests Baxter with ``baxter_pair_scan`` and
-  simplicity with ``is_simple_by_scan``; the production route tests
-  ``hrd.perm._simple``, which reads the decomposition pass, and
+- ``one_point_extensions_by_set`` builds the same sorted set as the
+  production ``hrd.perm._one_point_extensions``; the tests check both
+  against the members of the next symmetric group that contain the
+  pattern (``contains_pattern_bruteforce``).
+  ``grow_label_by_sorting`` walks those extensions in the same order as
+  the production ``hrd.perm._grow_label`` and differs from it only in its
+  predicates: it tests Baxter first, with ``baxter_pair_scan``, then
+  simplicity with ``is_simple_by_scan``, where the production route tests
+  ``hrd.perm._simple``, which reads the decomposition pass, then
   ``is_baxter``.
 """
 

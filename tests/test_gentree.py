@@ -27,6 +27,7 @@ from oracles import (
     floorplan_of_tree,
     format_tree_by_fold,
     inflate_entry,
+    is_simple_by_scan,
     leaf_count,
     odd_up_even_down,
     parse_tree,
@@ -140,6 +141,13 @@ class TestPredicates:
         assert not is_ihrd(P("2413")) and not is_ihrd(P("3142"))
         assert is_ihrd(P("12")) and is_ihrd(P("21"))
         assert not is_ihrd(P("1"))
+
+    def test_is_ihrd_on_every_permutation_up_to_eight(self):
+        # 46,233 permutations, against the two scans that share no pass with it
+        for n in range(1, 9):
+            for vals in itertools.permutations(range(1, n + 1)):
+                expected = n >= 2 and baxter_pair_scan(vals) and is_simple_by_scan(vals)
+                assert is_ihrd(Permutation(vals)) == expected, vals
 
     def test_ihrd_is_strictly_irreducible(self):
         for p in (P("41352"), P("25314"), P("2475316")):

@@ -132,7 +132,11 @@ class TestGrownSeed:
     def test_extensions_come_sorted_and_distinct(self):
         for n in range(1, 6):
             for vals in itertools.permutations(range(1, n + 1)):
-                assert list(_one_point_extensions(vals)) == sorted(one_point_extensions_by_set(vals))
+                extensions = _one_point_extensions(vals)
+                assert extensions == sorted(one_point_extensions_by_set(vals))
+                # independently: the members of S_(n+1), in order, that contain vals
+                longer = itertools.permutations(range(1, n + 2))
+                assert extensions == [q for q in longer if contains_pattern_bruteforce(q, vals)]
 
     def test_same_seeds_as_sorting_every_extension(self):
         # grown_seed(k) walks the chain from 41352 (odd k) or 24853617 (even

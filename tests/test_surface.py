@@ -2,7 +2,8 @@
 every public method of those classes, is used by the library, the scripts
 or the benchmark, not only by the tests; every private module-level
 function is used by the library itself; every module-level import is read
-in its module.  Code that only tests need belongs in ``tests/oracles.py``.
+in its module, and every import inside a function in that function.  Code
+that only tests need belongs in ``tests/oracles.py``.
 
 The check is static and by name: a function or class counts as used where
 its name is read or looked up as an attribute outside its own definition,
@@ -71,22 +72,36 @@ def unused_private(library: dict[str, str]) -> set[str]:
     }
 
 
+def _loaded(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _bound(node: ast.Import | ast.ImportFrom) -> set[str]:
+    return {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+
+
 def unused_imports(library: dict[str, str]) -> set[str]:
     """``module.name`` for every name bound by a module-level import in
     ``library``, ``TYPE_CHECKING`` blocks included and ``__future__``
-    skipped, that its module never reads."""
+    skipped, that its module never reads, and ``module.function.name`` for
+    every name a function imports and does not read itself."""
     found = set()
     for module, text in library.items():
         tree = ast.parse(text)
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read = _loaded(tree)
         stack = list(tree.body)
         while stack:
             node = stack.pop()
             if isinstance(node, ast.If):
                 stack += node.body + node.orelse
             elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-                bound = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
-                found |= {f"{module}.{name}" for name in bound - read}
+                found |= {f"{module}.{name}" for name in _bound(node) - read}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = _loaded(function)
+                for node in ast.walk(function):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        found |= {f"{module}.{function.name}.{name}" for name in _bound(node) - inside}
     return found
 
 
@@ -153,7 +168,12 @@ def test_the_check_sees_unused_imports():
         "    from .floorplan import Room, Floor\n"
         "def f(r: Room) -> None:\n"
         "    import json\n"
-        "    return sys.argv, xml.dom.minidom, is_simple\n"
+        "    from .gentree import is_hrd, tree_of_perm\n"
+        "    return sys.argv, xml.dom.minidom, is_simple, json.dumps, tree_of_perm\n"
+        "def g() -> None:\n"
+        "    import json\n"
+        "    return f\n"
     }
-    # a name read only inside a function still counts; an import there is not checked
-    assert unused_imports(library) == {"lib.os", "lib.check", "lib.Floor"}
+    # a name read only inside a function still counts; a function's own
+    # imports must be read in that function, not elsewhere in the module
+    assert unused_imports(library) == {"lib.os", "lib.check", "lib.Floor", "lib.f.is_hrd", "lib.g.json"}
