@@ -4,8 +4,8 @@ interior junctions are all T-shaped.
 The origin sits at the top-left corner and y grows downward.  A room is
 the tuple (id, x1, y1, x2, y2).  Only the wall topology of a floorplan
 matters: corner deletions run on the coordinates they are given,
-``bp2fp`` places its rooms on ranked lines, and ``render`` ranks the
-coordinates to the distinct wall positions (``_ranked``).  Two floorplans
+``bp2fp`` places its rooms on ranked lines, and ``render`` maps the
+distinct wall coordinates by rank onto its canvas.  Two floorplans
 have the same wall topology exactly when their deletion-order label
 permutations (``fp2bp``) agree.
 
@@ -59,26 +59,6 @@ class MosaicFloorplan(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.rooms)
-
-
-def _ranked(rooms: Iterable[tuple]) -> MosaicFloorplan:
-    """Rank-compress the rooms of a valid floorplan, given as rooms or as
-    (id, x1, y1, x2, y2) tuples on any ordered coordinates, onto consecutive
-    integers; rooms come out sorted by (y1, x1, id).
-
-    The rooms of a valid floorplan reach all four sides, so the bounding
-    rectangle is the ranks of their outermost coordinates.
-    """
-    rooms = list(rooms)
-    xs = sorted({r[1] for r in rooms} | {r[3] for r in rooms})
-    ys = sorted({r[2] for r in rooms} | {r[4] for r in rooms})
-    xr = {x: i for i, x in enumerate(xs)}
-    yr = {y: i for i, y in enumerate(ys)}
-    ranked = sorted(
-        (Room(rid, xr[x1], yr[y1], xr[x2], yr[y2]) for rid, x1, y1, x2, y2 in rooms),
-        key=lambda r: (r.y1, r.x1, r.id),
-    )
-    return MosaicFloorplan(len(xs) - 1, len(ys) - 1, tuple(ranked))
 
 
 def diagnose(f: MosaicFloorplan) -> list[str]:
@@ -356,16 +336,21 @@ def render(f: MosaicFloorplan) -> str:
     grid cell is 2 lines high and 6 characters wide, or the longest id plus
     2 when some id does not fit in the 5 columns between two walls.
 
-    Each room draws its outline, '-' along the top and bottom and '|' along
-    the sides, and then '+' at its corners.  A grid point that both a
-    horizontal and a vertical wall touch is a T-junction or a box corner,
-    and so a corner of some room.
+    The rooms' distinct x (y) coordinates map by rank to canvas columns
+    (rows).  Each room, in input order, draws its outline, '-' along the top
+    and bottom and '|' along the sides, and then '+' at its corners; a point
+    two rooms share gets the same character from both.  A grid point that
+    both a horizontal and a vertical wall touch is a T-junction or a box
+    corner, and so a corner of some room.
     """
     _require_valid(f)
     cell_width, cell_height = _cell_width(f), 2
-    g = _ranked(f.rooms)
-    canvas = [[" "] * (g.width * cell_width + 1) for _ in range(g.height * cell_height + 1)]
-    boxes = [(r.x1 * cell_width, r.y1 * cell_height, r.x2 * cell_width, r.y2 * cell_height) for r in g.rooms]
+    xs = sorted({r.x1 for r in f.rooms} | {r.x2 for r in f.rooms})
+    ys = sorted({r.y1 for r in f.rooms} | {r.y2 for r in f.rooms})
+    col = {x: i * cell_width for i, x in enumerate(xs)}
+    line = {y: i * cell_height for i, y in enumerate(ys)}
+    canvas = [[" "] * (col[xs[-1]] + 1) for _ in range(line[ys[-1]] + 1)]
+    boxes = [(col[r.x1], line[r.y1], col[r.x2], line[r.y2]) for r in f.rooms]
     for left, top, right, bottom in boxes:
         for col in range(left + 1, right):
             canvas[top][col] = canvas[bottom][col] = "-"
@@ -375,7 +360,7 @@ def render(f: MosaicFloorplan) -> str:
     for left, top, right, bottom in boxes:
         for row in (top, bottom):
             canvas[row][left] = canvas[row][right] = "+"
-    for r, (left, top, right, bottom) in zip(g.rooms, boxes):
+    for r, (left, top, right, bottom) in zip(f.rooms, boxes):
         text = str(r.id)
         row = canvas[(top + bottom) // 2]
         col = (left + right) // 2 - len(text) // 2

@@ -15,13 +15,13 @@ read.  It is linear on slicing chains nested either way; its worst case,
 O(n^2), is one large simple skeleton such as the spiral 4 9 5 3 6 2 7 1 8
 ..., each of whose entries scans the whole stack.  ``is_ihrd`` tests
 irreducibility.  ``census_simple_baxter`` lists the simple Baxter
-permutations of one length from 2 up to ``CENSUS_CAP`` by one cached,
-pruned search, and ``_grow_label`` finds one two longer that contains it.
+permutations of one length from 2 up to ``CENSUS_CAP`` by one pruned
+search, and ``_grow_label`` finds one two longer that contains it, asking
+``is_ihrd`` of each candidate.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from . import CapExceeded, _ascii_ints
@@ -275,18 +275,14 @@ def _decomposition(vals: tuple[int, ...], k: int, baxter: bool = True) -> tuple[
     return stack[0], order
 
 
-def _simple(vals: tuple[int, ...]) -> bool:
-    """Simplicity read off the pass: only the root of a simple permutation
-    longer than 2, one child per entry, has a skeleton longer than n - 1."""
-    return len(vals) <= 2 or _decomposition(vals, len(vals) - 1, False) is None
-
-
 def is_simple(p: Permutation) -> bool:
     """True iff every block is a singleton or the whole interval.
 
-    By this reading 1, 12 and 21 are simple.
+    By this reading 1, 12 and 21 are simple.  Read off the pass: only the
+    root of a simple permutation longer than 2, one child per entry, has a
+    skeleton longer than n - 1.
     """
-    return _simple(p.values)
+    return len(p) <= 2 or _decomposition(p.values, len(p) - 1, False) is None
 
 
 def is_ihrd(p: Permutation) -> bool:
@@ -311,7 +307,6 @@ def decompose(p: Permutation) -> Decomposition:
     return Decomposition(Permutation(skeleton), tuple(_child(vals, *r) for r in ranges))
 
 
-@lru_cache(maxsize=None)
 def census_simple_baxter(length: int) -> tuple[Permutation, ...]:
     """The skeletons of one length l, 2 <= l <= CENSUS_CAP, whose number is
     s_l: all simple Baxter permutations of that length, lexicographically.
@@ -376,9 +371,11 @@ def _one_point_extensions(vals: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _grow_label(label: Permutation) -> Permutation:
     """A simple Baxter permutation two longer that contains ``label``: the
     first hit over the one-point extensions of ``label`` and then of each of
-    those, both lexicographically."""
+    those, both lexicographically, that ``is_ihrd`` accepts (Baxter first,
+    then simple)."""
     for q1 in _one_point_extensions(label.values):
         for q2 in _one_point_extensions(q1):
-            if _simple(q2) and is_baxter(Permutation(q2)):
-                return Permutation(q2)
+            q = Permutation(q2)
+            if is_ihrd(q):
+                return q
     raise RuntimeError(f"no simple Baxter extension of {label} by two elements exists")

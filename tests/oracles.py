@@ -16,9 +16,8 @@ method; what each takes from the library:
   ``baxter_pair_scan`` and ``is_simple_by_scan``; the production
   ``census_simple_baxter`` prunes prefixes instead.
 - ``bp2fp_by_reinsertion`` and ``enumerate_floorplans`` insert rooms with
-  ``_insert_top_left`` below, which rank-compresses through
-  ``hrd.floorplan._ranked``; the production ``bp2fp`` places its rooms on
-  two boundary stacks instead.
+  ``_insert_top_left`` below, which rank-compresses through ``canonical``;
+  the production ``bp2fp`` places its rooms on two boundary stacks instead.
 - ``delete_top_left_by_scan``, ``deletion_labels_by_scan`` and
   ``fp2bp_by_scan`` scan every room per deletion and use no library code.
 - ``fp2bp_by_two_orders`` runs two whole deletion orders with the
@@ -44,7 +43,7 @@ method; what each takes from the library:
   preorder pass.
 - ``floorplan_of_tree`` folds a tree with ``_fold``, draws each
   node's label with the production ``bp2fp`` and embeds the children
-  through ``_ranked``.  ``enumerate_trees`` takes its labels
+  through ``canonical``.  ``enumerate_trees`` takes its labels
   from ``hrd.perm.census_simple_baxter`` and builds every tree bottom-up.
 - ``decompositions_by_copies`` walks p's recursive canonical decomposition
   by calling ``hrd.perm.decompose`` on a re-ranked copy of every part, and
@@ -87,10 +86,9 @@ method; what each takes from the library:
   pattern (``contains_pattern_bruteforce``).
   ``grow_label_by_sorting`` walks those extensions in the same order as
   the production ``hrd.perm._grow_label`` and differs from it only in its
-  predicates: it tests Baxter first, with ``baxter_pair_scan``, then
-  simplicity with ``is_simple_by_scan``, where the production route tests
-  ``hrd.perm._simple``, which reads the decomposition pass, then
-  ``is_baxter``.
+  predicates: both test Baxter first and then simplicity, it with the
+  scans ``baxter_pair_scan`` and ``is_simple_by_scan``, the production
+  route with the passes of ``hrd.perm.is_ihrd``.
 """
 
 from __future__ import annotations
@@ -108,7 +106,6 @@ from hrd.floorplan import (
     Room,
     _corner_index,
     _delete_top_left,
-    _ranked,
     _require_valid,
     bp2fp,
     diagnose,
@@ -175,7 +172,7 @@ def _mirrored(width: int, height: int, rooms: Iterable[tuple], flip_x: bool, fli
 
 
 def reflect(f: MosaicFloorplan, *, flip_x: bool = False, flip_y: bool = False) -> MosaicFloorplan:
-    return _ranked(_mirrored(f.width, f.height, f.rooms, flip_x, flip_y))
+    return canonical(MosaicFloorplan(f.width, f.height, tuple(_mirrored(f.width, f.height, f.rooms, flip_x, flip_y))))
 
 
 class Corner(Enum):
@@ -194,7 +191,7 @@ def delete_corner(f: MosaicFloorplan, corner: Corner) -> MosaicFloorplan:
     at = _corner_index(_mirrored(f.width, f.height, f.rooms, fx, fy))
     _delete_top_left(at, f.width, f.height)
     rest = ((rid, x1, y1, x2, y2) for (x1, y1), (x2, y2, rid) in at.items())
-    return _ranked(_mirrored(f.width, f.height, rest, fx, fy))
+    return canonical(MosaicFloorplan(f.width, f.height, tuple(_mirrored(f.width, f.height, rest, fx, fy))))
 
 
 def insert_max(p: Permutation, site: int) -> Permutation:
@@ -645,17 +642,19 @@ def _insert_top_left(g: MosaicFloorplan, side: str, j: int, new_id: int) -> Mosa
         x_star = tops[j - 1].x2
         for r in g.rooms:
             y1 = 1 if r.id in covered else 2 * r.y1
-            entries.append((r.id, r.x1, y1, r.x2, 2 * r.y2))
-        entries.append((new_id, 0, 0, x_star, 1))
+            entries.append(Room(r.id, r.x1, y1, r.x2, 2 * r.y2))
+        entries.append(Room(new_id, 0, 0, x_star, 1))
+        box = g.width, 2 * g.height
     else:
         lefts = sorted((r for r in g.rooms if r.x1 == 0), key=lambda r: r.y1)
         covered = {r.id for r in lefts[:j]}
         y_star = lefts[j - 1].y2
         for r in g.rooms:
             x1 = 1 if r.id in covered else 2 * r.x1
-            entries.append((r.id, x1, r.y1, 2 * r.x2, r.y2))
-        entries.append((new_id, 0, 0, 1, y_star))
-    return _ranked(entries)
+            entries.append(Room(r.id, x1, r.y1, 2 * r.x2, r.y2))
+        entries.append(Room(new_id, 0, 0, 1, y_star))
+        box = 2 * g.width, g.height
+    return canonical(MosaicFloorplan(*box, tuple(entries)))
 
 
 def bp2fp_by_reinsertion(p):
@@ -996,14 +995,15 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
     """
 
     def embed(node: Node, kids: list[MosaicFloorplan]) -> MosaicFloorplan:
-        base = {r.id: r for r in bp2fp(node.label).rooms}
+        drawn = bp2fp(node.label)
+        base = {r.id: r for r in drawn.rooms}
         # scale the base grid so each room can host its child's interior
         # lines on globally unused coordinates
         kx = sum(c.width - 1 for c in kids) + 1
         ky = sum(c.height - 1 for c in kids) + 1
         off_x = off_y = 0
         ids = itertools.count(1)
-        entries: list[tuple] = []
+        entries: list[Room] = []
         for pos, child in enumerate(kids):
             room = base[node.label.values[pos]]
 
@@ -1022,10 +1022,10 @@ def floorplan_of_tree(t: GenTree) -> MosaicFloorplan:
                 return room.y1 * ky + off + cy
 
             for cr in child.rooms:
-                entries.append((next(ids), map_x(cr.x1), map_y(cr.y1), map_x(cr.x2), map_y(cr.y2)))
+                entries.append(Room(next(ids), map_x(cr.x1), map_y(cr.y1), map_x(cr.x2), map_y(cr.y2)))
             off_x += child.width - 1
             off_y += child.height - 1
-        return _ranked(entries)
+        return canonical(MosaicFloorplan(drawn.width * kx, drawn.height * ky, tuple(entries)))
 
     return _fold(t, single_room(), embed)
 

@@ -569,11 +569,15 @@ class TestRender:
         )
 
     def test_outlines_match_the_grid_over_small_baxter_permutations(self, baxter_by_n):
+        # each also respaced, with fresh ids and its rooms shuffled
+        rng = random.Random(7)
         seen = 0
         for perms in baxter_by_n.values():
             for p in perms:
                 f = bp2fp(p)
                 assert render(f) == render_by_grid(f), p
+                g = respaced(rng, f)
+                assert render(g) == render_by_grid(g), (p, g)
                 seen += 1
         assert seen == 2619
 

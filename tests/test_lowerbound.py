@@ -169,7 +169,7 @@ class TestGrowIhrd:
 
     def test_label_without_an_extension_raises(self, monkeypatch):
         # no census stand-in: any answer must contain the input label
-        monkeypatch.setattr(hrd.perm, "_simple", lambda q: False)
+        monkeypatch.setattr(hrd.perm, "is_ihrd", lambda q: False)
         with pytest.raises(RuntimeError):
             hrd.perm._grow_label(census_simple_baxter(7)[0])
 
