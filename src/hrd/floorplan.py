@@ -28,9 +28,10 @@ so this module holds no Baxter logic: ``bp2fp`` only places the rooms, its
 lines ranked directly by a prefix count over the labels, and sorts them
 once into (y1, x1) order.
 Validation is O(n) from the room areas and the parity of corner counts
-(``diagnose``).  It runs once, in the function that uses the floorplan:
-``fp2bp`` and ``render`` check their input, and ``grow_ihrd`` through
-``fp2bp``; ``parse_floorplan`` checks only the text format.
+(``diagnose``: one pass over the rooms, then a ``Counter`` of corners).
+It runs once, in the function that uses the floorplan: ``fp2bp`` and
+``render`` check their input, and ``grow_ihrd`` through ``fp2bp``;
+``parse_floorplan`` checks only the text format.
 ``grow_ihrd`` grows an irreducible floorplan by two rooms through its label.
 """
 
@@ -69,6 +70,10 @@ def diagnose(f: MosaicFloorplan) -> list[str]:
     if the points with an odd count are exactly the box corners, every cell
     is covered an odd number of times, and rooms inside the box with total
     area W*H tile it exactly; a corner of four rooms is then a '+' junction.
+
+    One pass over the rooms checks types (``bool`` is not an integer),
+    bounds and ids in room order, adds up the areas and lists the corners,
+    counted only when it finds nothing and the areas add up to W*H.
     """
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in (f.width, f.height)):
         return [f"bounding rectangle {f.width}x{f.height}: width and height must be integers"]
@@ -78,32 +83,31 @@ def diagnose(f: MosaicFloorplan) -> list[str]:
     if not f.rooms:
         msgs.append("a floorplan needs at least one room")
         return msgs
-    seen_ids = set()
-    for r in f.rooms:
-        for c in (r.x1, r.y1, r.x2, r.y2):
-            if not isinstance(c, int) or isinstance(c, bool):
-                msgs.append(f"room {r.id}: coordinates must be integers")
-                break
+    width, height, area, seen_ids, points = f.width, f.height, 0, set(), []
+    for rid, x1, y1, x2, y2 in f.rooms:
+        if not (x1.__class__ is y1.__class__ is x2.__class__ is y2.__class__ is int
+                or all(isinstance(c, int) and not isinstance(c, bool) for c in (x1, y1, x2, y2))):
+            msgs.append(f"room {rid}: coordinates must be integers")
+        elif 0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height:
+            area += (x2 - x1) * (y2 - y1)
+            points += (x1, y1), (x2, y1), (x1, y2), (x2, y2)
         else:
-            if not (0 <= r.x1 < r.x2 <= f.width and 0 <= r.y1 < r.y2 <= f.height):
-                msgs.append(f"room {r.id}: rectangle ({r.x1},{r.y1})-({r.x2},{r.y2}) is not a proper box inside the bounds")
+            msgs.append(f"room {rid}: rectangle ({x1},{y1})-({x2},{y2}) is not a proper box inside the bounds")
         try:
-            if r.id in seen_ids:
-                msgs.append(f"duplicate room id {r.id}")
-            seen_ids.add(r.id)
+            if rid in seen_ids:
+                msgs.append(f"duplicate room id {rid}")
+            seen_ids.add(rid)
         except TypeError:
-            msgs.append(f"room {r.id}: id must be hashable")
+            msgs.append(f"room {rid}: id must be hashable")
     if msgs:
         return msgs
-
-    area = sum((r.x2 - r.x1) * (r.y2 - r.y1) for r in f.rooms)
-    if area > f.width * f.height:
-        return [f"rooms overlap: their areas add up to {area}, more than {f.width}*{f.height}"]
-    if area < f.width * f.height:
-        return [f"uncovered area: the rooms' areas add up to {area}, less than {f.width}*{f.height}"]
-    corners = Counter(p for r in f.rooms for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)))
+    if area > width * height:
+        return [f"rooms overlap: their areas add up to {area}, more than {width}*{height}"]
+    if area < width * height:
+        return [f"uncovered area: the rooms' areas add up to {area}, less than {width}*{height}"]
+    corners = Counter(points)
     odd = {p for p, k in corners.items() if k % 2}
-    unmatched = odd ^ {(0, 0), (f.width, 0), (0, f.height), (f.width, f.height)}
+    unmatched = odd ^ {(0, 0), (width, 0), (0, height), (width, height)}
     if unmatched:
         x, y = min(unmatched, key=lambda p: (p[1], p[0]))
         return [f"rooms overlap and leave a gap: ({x},{y}) is a corner of {corners[x, y]} rooms"]
@@ -255,7 +259,8 @@ def bp2fp(p: Permutation) -> MosaicFloorplan:
         else:
             x2[label], y2[label] = x2[a], yr[label]
     rooms = sorted((yr[top_by[r]], xr[left_by[r]], r, x2[r], y2[r]) for r in range(1, n + 1))
-    return MosaicFloorplan(width, height, tuple(Room(r, x, y, xx, yy) for y, x, r, xx, yy in rooms))
+    new = tuple.__new__
+    return MosaicFloorplan(width, height, tuple([new(Room, (r, x, y, xx, yy)) for y, x, r, xx, yy in rooms]))
 
 
 def grow_ihrd(f: MosaicFloorplan) -> MosaicFloorplan:
@@ -288,10 +293,15 @@ def parse_floorplan(text: str) -> MosaicFloorplan:
 
     Only the text is checked here, each error citing its line: the header
     is three integers, each room line five, blank lines are skipped, and
-    the room count is n.  The geometry is checked once, by ``diagnose``, in
-    the function that uses the floorplan (``fp2bp``, ``render``).
+    the room count is n.  Lines end only at ``\n``, ``\r\n`` or ``\r``.
+    A text that is all ASCII and has no ``_`` goes to ``int`` as it is;
+    another is checked line by line by ``_ascii_ints``.  The geometry is
+    checked once, by ``diagnose``, in the function that uses the floorplan
+    (``fp2bp``, ``render``).
     """
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":  # the text's last line end
+        lines.pop()
     if not lines or not lines[0].split():
         raise FloorplanFormatError(1, "missing 'W H n' header")
     try:  # a header of other than three tokens fails the unpacking
@@ -300,14 +310,14 @@ def parse_floorplan(text: str) -> MosaicFloorplan:
         raise FloorplanFormatError(1, "header must be three integers: W H n") from None
     rooms = []
     lineno = 1
+    new, plain = tuple.__new__, "_" not in text and text.isascii()  # else ``_ascii_ints`` checks each line
     for lineno, raw in enumerate(lines[1:], 2):
         toks = raw.split()
         if not toks:
             continue
-        if len(toks) != 5:
-            raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2")
-        try:
-            rooms.append(Room(*_ascii_ints(toks)))
+        try:  # a room line of other than five tokens fails the unpacking
+            rid, x1, y1, x2, y2 = toks if plain else _ascii_ints(toks)
+            rooms.append(new(Room, (int(rid), int(x1), int(y1), int(x2), int(y2))))
         except ValueError:
             raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2") from None
     if len(rooms) != n:

@@ -30,8 +30,17 @@ method; what each takes from the library:
   box, and ``_grid`` fills its cell grid; the library has neither.
   ``diagnose_by_grid`` checks that grid for overlaps, gaps and '+'
   junctions, where the production ``diagnose`` counts areas and corner
-  parity.  ``render_by_grid`` decides each grid point and wall unit from
-  the grid, where the production ``render`` draws each room's outline.
+  parity.  ``diagnose_by_passes`` makes the same checks with the same
+  messages in three passes over the rooms, testing every coordinate with
+  ``isinstance``; the production ``diagnose`` makes one pass, with a
+  class test before ``isinstance``.  ``render_by_grid`` decides each grid
+  point and wall unit from the grid, where the production ``render``
+  draws each room's outline.
+- ``parse_floorplan_by_lines`` cuts the text at its line ends with a
+  regular expression and checks every room line's tokens with
+  ``hrd._ascii_ints``; the production ``parse_floorplan`` tests the whole
+  text for ``_`` and non-ASCII characters once and checks line by line
+  only when that test fails.
 - ``seg_room_relations`` and ``enveloping_rectangles`` validate with
   ``hrd.floorplan._require_valid``, scan the cell grid of ``canonical`` and
   ``_grid``, and name rooms by ``_deletion_labels`` above, the labels
@@ -95,13 +104,16 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
+from hrd import _ascii_ints
 from hrd.counting import _check_order_and_size, skeleton_counts
 from hrd.floorplan import (
+    FloorplanFormatError,
     MosaicFloorplan,
     Room,
     _corner_index,
@@ -807,6 +819,81 @@ def diagnose_by_grid(f: MosaicFloorplan) -> list[str]:
             if nw != ne and sw != se and nw != sw and ne != se:
                 msgs.append(f"'+' junction at grid point ({x},{y})")
     return msgs
+
+
+def diagnose_by_passes(f: MosaicFloorplan) -> list[str]:
+    """Reference ``diagnose`` with the same checks and messages, three
+    passes over the rooms: types, bounds and ids, each coordinate tested by
+    ``isinstance``; then the area; then the corner ``Counter``."""
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in (f.width, f.height)):
+        return [f"bounding rectangle {f.width}x{f.height}: width and height must be integers"]
+    msgs: list[str] = []
+    if f.width < 1 or f.height < 1:
+        msgs.append(f"bounding rectangle {f.width}x{f.height} is degenerate")
+    if not f.rooms:
+        msgs.append("a floorplan needs at least one room")
+        return msgs
+    seen_ids = set()
+    for r in f.rooms:
+        for c in (r.x1, r.y1, r.x2, r.y2):
+            if not isinstance(c, int) or isinstance(c, bool):
+                msgs.append(f"room {r.id}: coordinates must be integers")
+                break
+        else:
+            if not (0 <= r.x1 < r.x2 <= f.width and 0 <= r.y1 < r.y2 <= f.height):
+                msgs.append(f"room {r.id}: rectangle ({r.x1},{r.y1})-({r.x2},{r.y2}) is not a proper box inside the bounds")
+        try:
+            if r.id in seen_ids:
+                msgs.append(f"duplicate room id {r.id}")
+            seen_ids.add(r.id)
+        except TypeError:
+            msgs.append(f"room {r.id}: id must be hashable")
+    if msgs:
+        return msgs
+
+    area = sum((r.x2 - r.x1) * (r.y2 - r.y1) for r in f.rooms)
+    if area > f.width * f.height:
+        return [f"rooms overlap: their areas add up to {area}, more than {f.width}*{f.height}"]
+    if area < f.width * f.height:
+        return [f"uncovered area: the rooms' areas add up to {area}, less than {f.width}*{f.height}"]
+    corners = Counter(p for r in f.rooms for p in ((r.x1, r.y1), (r.x2, r.y1), (r.x1, r.y2), (r.x2, r.y2)))
+    odd = {p for p, k in corners.items() if k % 2}
+    unmatched = odd ^ {(0, 0), (f.width, 0), (0, f.height), (f.width, f.height)}
+    if unmatched:
+        x, y = min(unmatched, key=lambda p: (p[1], p[0]))
+        return [f"rooms overlap and leave a gap: ({x},{y}) is a corner of {corners[x, y]} rooms"]
+    return [f"'+' junction at point ({x},{y})" for (x, y), k in corners.items() if k == 4]
+
+
+def parse_floorplan_by_lines(text: str) -> MosaicFloorplan:
+    """Reference ``parse_floorplan`` with the same checks and messages:
+    the text is cut at each ``\n``, ``\r\n`` or ``\r`` by a regular
+    expression, and every line's tokens go through ``hrd._ascii_ints`` and
+    ``Room``'s own constructor."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        del lines[-1]
+    if not lines or not lines[0].split():
+        raise FloorplanFormatError(1, "missing 'W H n' header")
+    try:
+        width, height, n = _ascii_ints(lines[0].split())
+    except ValueError:
+        raise FloorplanFormatError(1, "header must be three integers: W H n") from None
+    rooms = []
+    lineno = 1
+    for lineno, raw in enumerate(lines[1:], 2):
+        toks = raw.split()
+        if not toks:
+            continue
+        if len(toks) != 5:
+            raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2")
+        try:
+            rooms.append(Room(*_ascii_ints(toks)))
+        except ValueError:
+            raise FloorplanFormatError(lineno, "room line must be five integers: id x1 y1 x2 y2") from None
+    if len(rooms) != n:
+        raise FloorplanFormatError(lineno, f"header announced {n} rooms, found {len(rooms)}")
+    return MosaicFloorplan(width, height, tuple(rooms))
 
 
 def render_by_grid(f: MosaicFloorplan) -> str:

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import random
+from enum import IntEnum
 from time import perf_counter
 
 import pytest
@@ -29,11 +30,13 @@ from oracles import (
     delete_top_left_by_scan,
     deletion_labels_by_scan,
     diagnose_by_grid,
+    diagnose_by_passes,
     enumerate_floorplans,
     enveloping_rectangles,
     fp2bp_by_scan,
     fp2bp_by_two_orders,
     inflate,
+    parse_floorplan_by_lines,
     reflect,
     render_by_grid,
     seg_room_relations,
@@ -529,6 +532,36 @@ class TestTextFormat:
         with pytest.raises(FloorplanFormatError):
             parse_floorplan("1 1 2\n1 0 0 1 1\n")
 
+    def test_lines_end_only_at_newline_return_or_both(self):
+        with pytest.raises(FloorplanFormatError, match="room line must be five integers") as err:
+            parse_floorplan("1 1 1\n1 0 0 1 1 \x1c 2 0 0 1 1\n")
+        assert err.value.lineno == 2
+        one = MosaicFloorplan(1, 1, (Room(1, 0, 0, 1, 1),))
+        for end in ("\n", "\r\n", "\r"):
+            assert parse_floorplan(f"1 1 1{end}1 0 0 1 1{end}") == one
+        # every other character that str.splitlines breaks at is whitespace inside its line
+        for ch in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+            assert parse_floorplan(f"1{ch}1 1\n1 0{ch}0 1 1\n") == one
+            with pytest.raises(FloorplanFormatError, match="header announced 2 rooms, found 1") as err:
+                parse_floorplan(f"1 1 2\n1 0 0 1 1{ch}\n")
+            assert err.value.lineno == 2
+
+    def test_rooms_are_rooms(self):
+        """Every room that ``parse_floorplan`` and ``bp2fp`` build is a
+        five-field ``Room`` whose named fields read its entries."""
+        rng = random.Random(5)
+        p = random_baxter(rng, 60)
+        texts = [format_floorplan(bp2fp(p)), format_floorplan(respaced(rng, bp2fp(p)))]
+        floorplans = [bp2fp(p), *map(parse_floorplan, texts)]
+        for f in floorplans:
+            for r in f.rooms:
+                assert type(r) is Room and len(r) == 5
+                assert (r.id, r.x1, r.y1, r.x2, r.y2) == tuple(r)
+        for text, f in zip(texts, floorplans[1:]):
+            lines = text.splitlines()[1:]
+            assert [(r.id, r.x1, r.y1, r.x2, r.y2) for r in f.rooms] == [tuple(map(int, line.split())) for line in lines]
+        assert bp2fp(P("21")).rooms[1].y1 == 1 and bp2fp(P("12")).rooms[1].x1 == 1
+
     def test_rooms_are_sorted_by_id_when_the_ids_compare(self):
         left, right = Room(2, 0, 0, 1, 1), Room(1, 1, 0, 2, 1)
         assert format_floorplan(MosaicFloorplan(2, 1, (left, right))) == "2 1 2\n1 1 0 2 1\n2 0 0 1 1\n"
@@ -538,6 +571,122 @@ class TestTextFormat:
             f = MosaicFloorplan(2, 1, rooms)
             assert not diagnose(f) and fp2bp(f) == P("12") and render(f)
             assert format_floorplan(f) == "2 1 2\n" + "".join(" ".join(map(str, r)) + "\n" for r in rooms)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def defective_texts(rng: random.Random, f: MosaicFloorplan):
+    """Seeded variants of ``format_floorplan(f)`` for the parser: other
+    line ends and blank lines, non-ASCII separators, signed and zero-padded
+    integers, ``1_0`` and Arabic-Indic digits, room lines of four and six
+    tokens, a bad last line, and a room count that does not match."""
+    lines = format_floorplan(f).splitlines()
+    k = rng.randrange(len(lines))  # the line that gets the defect, 0 for the header
+
+    def with_token(i, token):
+        toks = lines[k].split()
+        toks[i] = token(toks[i])
+        return "\n".join(lines[:k] + [" ".join(toks)] + lines[k + 1:]) + "\n"
+
+    blank = [*lines]
+    for _ in range(3):
+        blank.insert(rng.randrange(1, len(blank) + 1), rng.choice(["", " ", "\t "]))
+    yield "\r\n".join(blank) + rng.choice(["", "\r\n"])
+    yield "\r".join(blank) + "\r"
+    yield "\n".join(rng.choice([" ", "\xa0", "\u3000", " \u3000"]).join(line.split()) for line in lines)
+    yield with_token(rng.randrange(len(lines[k].split())), lambda t: rng.choice(["+", "-", "00", "+00"]) + t)
+    yield with_token(0, lambda t: "-1")
+    yield with_token(rng.randrange(len(lines[k].split())), lambda t: "1_0")
+    yield with_token(rng.randrange(len(lines[k].split())), lambda t: t.translate(ARABIC_INDIC))
+    yield "\n".join(lines[:k] + [" ".join(lines[k].split()[:4])] + lines[k + 1:]) + "\n"
+    yield "\n".join(lines[:k] + [lines[k] + " 7"] + lines[k + 1:]) + "\n"
+    yield "\n".join(lines[:-1] + [rng.choice(["x", "1 0 0 1", "1 0 0 1 1 1", "1 0 0 1 \u0661"])]) + "\n"
+    header = lines[0].split()
+    header[2] = str(int(header[2]) + rng.choice([-1, 1]))
+    yield "\n".join([" ".join(header), *lines[1:], ""]) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        f = parse(text)
+    except FloorplanFormatError as err:
+        return "error", str(err), err.lineno
+    return "parsed", f, [type(r) for r in f.rooms]
+
+
+class TestParserAgainstLines:
+    """``parse_floorplan`` (one ASCII test of the whole text) against the
+    reference that checks every line (tests/oracles.py): equal floorplans,
+    or the same message at the same line."""
+
+    def test_defective_texts_over_enumeration(self):
+        rng = random.Random(11)
+        outcomes = {"parsed": 0, "error": 0}
+        for n in range(1, 6):
+            for f in enumerate_floorplans(n):
+                for text in [format_floorplan(f), *defective_texts(rng, f)]:
+                    got = parse_outcome(parse_floorplan, text)
+                    assert got == parse_outcome(parse_floorplan_by_lines, text), text
+                    outcomes[got[0]] += 1
+        # 123 plans, each as it is and in eleven variants
+        assert sum(outcomes.values()) == 123 * 12
+        assert min(outcomes.values()) > 123 * 3
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", " \n1 1 1\n", "1 1\n", "1 1 1 1\n", "1 1 1", "1 1 1\n1 0 0 1 1", "1 1 1\n\n1 0 0 1 1\n\n\n",
+        "1 1 0\n", "1 1 1\n1 0 0 1 1\n1 0 0 1 1\n", "1 1 1\r\n\r\n1 0 0 1 1\r\n\r\n", "1 1 1\n1 0 0 1 1\n\x1c\n",
+        "1 1 1\n1\u00a00\u30000 1 1\n", "1 1 1\n1 0 0 1 1_0\n", "1 1 1\n1 0 0 1 \u0661\n", "\u0661 1 1\n1 0 0 1 1\n",
+    ])
+    def test_hand_cases(self, text):
+        assert parse_outcome(parse_floorplan, text) == parse_outcome(parse_floorplan_by_lines, text)
+
+
+class Unit(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+class TestDiagnoseAgainstPasses:
+    """``diagnose`` (one pass for types, bounds, ids and area) against the
+    reference that makes a pass per check (tests/oracles.py): the same
+    messages in the same order."""
+
+    def test_enumeration_and_perturbations(self):
+        rng = random.Random(7)
+        cases = 0
+        for n in range(1, 6):
+            for f in enumerate_floorplans(n):
+                for rooms in [f.rooms, *perturbed(rng, f)]:
+                    h = MosaicFloorplan(f.width, f.height, tuple(rooms))
+                    assert diagnose(h) == diagnose_by_passes(h), h
+                    cases += 1
+        assert cases == 123 * 5 - 1
+
+    @pytest.mark.parametrize("f", [
+        MosaicFloorplan(1, 1, (Room(1, False, 0, True, 1),)),
+        MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1), Room(2, 1, 0, 2, True))),
+        MosaicFloorplan(1, 1, (Room(1, 0, 0, 1.0, 1),)),
+        MosaicFloorplan(2, 1, (Room(1, 0.0, 0, 1, 1), Room(2, "1", 0, 2, 1))),
+        MosaicFloorplan(Unit.TWO, Unit.ONE, (Room(1, Unit.ZERO, 0, Unit.ONE, Unit.ONE), Room(2, Unit.ONE, 0, 2, 1))),
+        MosaicFloorplan(2, 2, (Room(Unit.ONE, Unit.ZERO, 0, 2, Unit.ONE), Room(1, 0, 1, 2, 2))),
+        MosaicFloorplan(2, 2, tuple(Room(i, x, y, x + 1, y + 1) for i, (x, y) in enumerate([(Unit.ZERO, 0), (1, 0), (0, 1), (1, 1)]))),
+        MosaicFloorplan(3, 1, (Room([1], 0, 0, 1, 1), Room("a", 1, 0, 2, 1), Room(1, 2, 0, 3, 1))),
+        MosaicFloorplan(3, 1, (Room({}, 0, 0, 1, 1), Room((1, [2]), 1, 0, 2, 1), Room(1.0, 2, 0, 3, 1), Room(1, 2, 0, 3, 1))),
+        MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1), Room(1, 1, 0, 3, 1))),
+        MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1), Room(1, 1, 0, 1.5, 1))),
+        MosaicFloorplan(0, 1, (Room(1, 0, 0, 1, 1),)),
+        MosaicFloorplan(-1, 0, (Room(1, 0, 0, 1, 1), Room(1, 1, 0, 0, 1))),
+        MosaicFloorplan(1, 1, ()),
+        MosaicFloorplan(0, 0, ()),
+        MosaicFloorplan(True, 1, ()),
+        MosaicFloorplan(2, 1, (Room(1, 0, 0, 2, 1), Room(2, 1, 0, 2, 1))),
+        MosaicFloorplan(2, 1, (Room(1, 0, 0, 1, 1),)),
+        MosaicFloorplan(3, 1, (Room(1, 0, 0, 2, 1), Room(2, 1, 0, 2, 1))),
+    ])
+    def test_hand_cases(self, f):
+        assert diagnose(f) == diagnose_by_passes(f)
 
 
 class TestRender:
